@@ -66,6 +66,33 @@ void BM_LockManagerContendedQueue(benchmark::State& state) {
 }
 BENCHMARK(BM_LockManagerContendedQueue);
 
+void BM_LockManagerDeepMixedQueue(benchmark::State& state) {
+  // One hot key, 256 waiters deep: every eighth txn writes, the readers
+  // between writers queue behind one and are granted as a group. Each
+  // iteration releases the oldest txn and enqueues a new one at the tail.
+  hermes::storage::LockManager lm;
+  const std::vector<hermes::storage::LockRequest> write = {{1, true}};
+  const std::vector<hermes::storage::LockRequest> read = {{1, false}};
+  std::vector<TxnId> granted;
+  TxnId next = 0;
+  auto enqueue = [&]() {
+    const TxnId txn = next++;
+    granted.clear();
+    lm.Acquire(txn, txn % 8 == 0 ? write : read, &granted);
+  };
+  constexpr int kDepth = 256;
+  for (int i = 0; i < kDepth; ++i) enqueue();
+  TxnId oldest = 0;
+  for (auto _ : state) {
+    granted.clear();
+    lm.Release(oldest++, &granted);
+    benchmark::DoNotOptimize(granted.data());
+    enqueue();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LockManagerDeepMixedQueue);
+
 void BM_FusionTablePut(benchmark::State& state) {
   const size_t capacity = static_cast<size_t>(state.range(0));
   hermes::core::FusionTable table(capacity, EvictionPolicy::kLru);

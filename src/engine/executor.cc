@@ -28,6 +28,63 @@ uint64_t PackAccessArg(const routing::Access& acc) {
 
 constexpr Key kNoKey = static_cast<Key>(-1);
 
+/// Collects `node`'s lock requests for `plan` into `*out`, sorted by key
+/// with one request per key (a key can appear as both a normal access and
+/// a fence/eviction access: exclusive wins). `fence` says whether `node`
+/// takes migration-fence locks (a master of a regular transaction).
+void CollectLockRequests(const RoutedTxn& plan, NodeId node, bool fence,
+                         std::vector<storage::LockRequest>* out) {
+  out->clear();
+  for (const Access& acc : plan.accesses) {
+    if (acc.owner == node) {
+      out->push_back(storage::LockRequest{acc.key, acc.is_write});
+    } else if (fence && acc.new_owner == node) {
+      // Migration fence: a record moving to a master that will write it
+      // is exclusively locked at the destination until commit, so
+      // transactions routed there later in the total order cannot read
+      // it early.
+      out->push_back(storage::LockRequest{acc.key, true});
+    }
+  }
+  std::sort(out->begin(), out->end(),
+            [](const storage::LockRequest& x, const storage::LockRequest& y) {
+              if (x.key != y.key) return x.key < y.key;
+              return x.exclusive > y.exclusive;
+            });
+  out->erase(std::unique(out->begin(), out->end(),
+                         [](const storage::LockRequest& x,
+                            const storage::LockRequest& y) {
+                           return x.key == y.key;
+                         }),
+             out->end());
+}
+
+/// Borrows a node's grant scratch vector for one lock call and the grant
+/// processing after it. The buffer is swapped out, so a nested borrow on
+/// the same node (a grant that releases again) gets an empty vector, and
+/// it goes back cleared with its capacity: steady-state lock calls
+/// allocate nothing.
+class GrantScratch {
+ public:
+  explicit GrantScratch(Node& node) : node_(node) {
+    granted_.swap(node.grant_scratch());
+  }
+  ~GrantScratch() {
+    granted_.clear();
+    std::vector<TxnId>& home = node_.grant_scratch();
+    if (granted_.capacity() > home.capacity()) home.swap(granted_);
+  }
+  GrantScratch(const GrantScratch&) = delete;
+  GrantScratch& operator=(const GrantScratch&) = delete;
+
+  std::vector<TxnId>* get() { return &granted_; }
+  const std::vector<TxnId>& operator*() const { return granted_; }
+
+ private:
+  Node& node_;
+  std::vector<TxnId> granted_;
+};
+
 }  // namespace
 
 TxnExecutor::TxnExecutor(sim::Simulator* sim, net::Wire* wire,
@@ -56,7 +113,11 @@ bool TxnExecutor::IsMaster(const Active& a, NodeId node) const {
   return false;
 }
 
-void TxnExecutor::Dispatch(const RoutedTxn& plan, CommitCallback on_commit) {
+void TxnExecutor::Dispatch(RoutedTxn routed, CommitCallback on_commit) {
+  auto owned_active = std::make_unique<Active>();
+  Active& a = *owned_active;
+  a.plan = std::move(routed);
+  const RoutedTxn& plan = a.plan;
   const TxnId id = plan.txn.id;
   assert(!plan.masters.empty());
   if (HERMES_TRACE_ACTIVE(tracer_)) {
@@ -81,37 +142,30 @@ void TxnExecutor::Dispatch(const RoutedTxn& plan, CommitCallback on_commit) {
     }
   }
 
-  auto owned_active = std::make_unique<Active>();
-  Active& a = *owned_active;
-  a.plan = plan;
   a.on_commit = std::move(on_commit);
   a.dispatch_time = sim_->Now();
   a.write_keys = SortedUnique(plan.txn.write_set);
   for (NodeId m : plan.masters) a.masters.push_back(MasterState{m});
 
-  // Group lock requests and owned accesses per involved node. std::map
-  // keeps node order deterministic.
-  std::map<NodeId, NodeState> states;
-  const bool regular = plan.txn.kind == TxnKind::kRegular;
-  for (const Access& acc : plan.accesses) {
-    NodeState& owner_state = states[acc.owner];
-    owner_state.owned.push_back(acc);
-    owner_state.lock_requests.push_back(
-        storage::LockRequest{acc.key, acc.is_write});
-    // Migration fence: a record moving to a master that will write it is
-    // exclusively locked at the destination until commit, so transactions
-    // routed there later in the total order cannot read it early.
-    if (regular && acc.new_owner != kInvalidNode &&
-        acc.new_owner != acc.owner && IsMaster(a, acc.new_owner)) {
-      states[acc.new_owner].lock_requests.push_back(
-          storage::LockRequest{acc.key, true});
+  // Group owned accesses per involved node. a.nodes is kept sorted by node
+  // id, so every walk over it is in node order.
+  auto state_of = [&a](NodeId node) -> NodeState& {
+    auto it = std::lower_bound(
+        a.nodes.begin(), a.nodes.end(), node,
+        [](const auto& entry, NodeId n) { return entry.first < n; });
+    if (it == a.nodes.end() || it->first != node) {
+      it = a.nodes.emplace(it, node, NodeState{});
     }
+    return it->second;
+  };
+  for (const Access& acc : plan.accesses) {
+    state_of(acc.owner).owned.push_back(acc);
   }
-  for (const auto& m : a.masters) states[m.node].is_master = true;
+  for (const auto& m : a.masters) state_of(m.node).is_master = true;
 
   // Count expected shipments per master: one message per (source node,
   // master) pair with at least one shipped access.
-  for (auto& [node, state] : states) {
+  for (auto& [node, state] : a.nodes) {
     std::vector<NodeId> targets;
     for (const Access& acc : state.owned) {
       if (!acc.ship_to_master) continue;
@@ -136,26 +190,7 @@ void TxnExecutor::Dispatch(const RoutedTxn& plan, CommitCallback on_commit) {
     }
   }
 
-  a.nodes.assign(states.begin(), states.end());
   a.distributed = a.nodes.size() > 1;
-
-  // Deduplicate lock requests per node (a key can appear as both a normal
-  // access and a fence/eviction access): exclusive wins.
-  for (auto& [node, state] : a.nodes) {
-    (void)node;
-    auto& reqs = state.lock_requests;
-    std::sort(reqs.begin(), reqs.end(),
-              [](const storage::LockRequest& x, const storage::LockRequest& y) {
-                if (x.key != y.key) return x.key < y.key;
-                return x.exclusive > y.exclusive;
-              });
-    reqs.erase(std::unique(reqs.begin(), reqs.end(),
-                           [](const storage::LockRequest& x,
-                              const storage::LockRequest& y) {
-                             return x.key == y.key;
-                           }),
-               reqs.end());
-  }
 
   for (const auto& [node, state] : a.nodes) {
     if (NodeWillSend(a, state, node)) ++a.participants_pending;
@@ -165,11 +200,14 @@ void TxnExecutor::Dispatch(const RoutedTxn& plan, CommitCallback on_commit) {
 
   // Enqueue all lock requests in total order (ascending node id within the
   // transaction; Dispatch itself is called in total order).
+  const bool regular = plan.txn.kind == TxnKind::kRegular;
   for (auto& [node, state] : a.nodes) {
     state.acquire_time = sim_->Now();
-    std::vector<TxnId> granted;
-    NodeAt(node).locks().Acquire(id, state.lock_requests, &granted);
-    ProcessGrants(node, granted);
+    CollectLockRequests(plan, node, regular && state.is_master,
+                        &lock_scratch_);
+    GrantScratch granted(NodeAt(node));
+    NodeAt(node).locks().Acquire(id, lock_scratch_, granted.get());
+    ProcessGrants(node, *granted);
   }
 }
 
@@ -383,9 +421,9 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
   // state is node-local, so the release and its grant chain stay on this
   // lane; the shared bookkeeping (metrics, participant counter, possible
   // completion) rides the epoch barrier at the same virtual time.
-  std::vector<TxnId> granted;
+  GrantScratch granted(src);
   if (!state->is_master) {
-    src.locks().Release(id, &granted);
+    src.locks().Release(id, granted.get());
   }
   sim_->Defer([this, id, migrated]() {
     if (migrated > 0) metrics_->RecordMigrations(sim_->Now(), migrated);
@@ -395,7 +433,7 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
     --act.participants_pending;
     MaybeComplete(act);  // may destroy `act`
   });
-  ProcessGrants(node, granted);
+  ProcessGrants(node, *granted);
 }
 
 void TxnExecutor::CheckMasterReady(Active& a, MasterState& m) {
@@ -544,8 +582,8 @@ void TxnExecutor::CommitMaster(Active& a, MasterState& m) {
     if (fanout_work > 0) node.workers().Submit(fanout_work, [] {});
   }
 
-  std::vector<TxnId> granted;
-  node.locks().Release(id, &granted);
+  GrantScratch granted(node);
+  node.locks().Release(id, granted.get());
   m.done = true;
   const NodeId master_node = m.node;
   // The done-counter is shared across masters (different node lanes) and
@@ -553,7 +591,7 @@ void TxnExecutor::CommitMaster(Active& a, MasterState& m) {
   // so both run at the epoch barrier, at this same virtual time. The
   // grant chain is node-local and stays on this lane.
   sim_->Defer([this, id]() { OnMasterDone(id); });
-  ProcessGrants(master_node, granted);
+  ProcessGrants(master_node, *granted);
 }
 
 void TxnExecutor::OnMasterDone(TxnId id) {
@@ -709,9 +747,8 @@ std::string TxnExecutor::DebugString() const {
     out += buf;
     for (const auto& [node, st] : a->nodes) {
       std::snprintf(buf, sizeof(buf),
-                    "  node %d granted=%d master=%d locks=%zu owned=%zu\n",
-                    node, st.granted, st.is_master, st.lock_requests.size(),
-                    st.owned.size());
+                    "  node %d granted=%d master=%d owned=%zu\n", node,
+                    st.granted, st.is_master, st.owned.size());
       out += buf;
       for (const auto& acc : st.owned) {
         if ((*nodes_)[node]->store().Contains(acc.key)) continue;
@@ -1158,9 +1195,9 @@ void TxnExecutor::AbortActive(Active& a) {
   std::vector<std::pair<NodeId, std::vector<TxnId>>> grants;
   for (auto& [node, state] : a.nodes) {
     (void)state;
-    std::vector<TxnId> g;
-    NodeAt(node).locks().Release(id, &g);
-    if (!g.empty()) grants.emplace_back(node, std::move(g));
+    GrantScratch g(NodeAt(node));
+    NodeAt(node).locks().Release(id, g.get());
+    if (!g.get()->empty()) grants.emplace_back(node, *g);
   }
   aborted_.Add();
   if (ledger_ != nullptr) ledger_->RecordWatchdogAbort();

@@ -79,9 +79,10 @@ class TxnExecutor {
   /// Dispatches one routed transaction. Must be called in total order.
   /// Scheduled from the scheduler's dispatch events only (control lane):
   /// it enqueues locks at every involved node and applies replica-lease
-  /// ops, both cross-node work.
+  /// ops, both cross-node work. The transaction keeps the plan until it
+  /// completes; a caller done with its copy moves it in.
   // detlint:runs(exclusive)
-  void Dispatch(const routing::RoutedTxn& plan, CommitCallback on_commit);
+  void Dispatch(routing::RoutedTxn routed, CommitCallback on_commit);
 
   /// Wires the replica-lease mechanism (null = leases off). Dispatch
   /// applies the plan's replica ops through it, masters wait on lease
@@ -180,7 +181,6 @@ class TxnExecutor {
 
  private:
   struct NodeState {
-    std::vector<storage::LockRequest> lock_requests;
     std::vector<routing::Access> owned;  ///< accesses with owner == node
     bool is_master = false;
     bool granted = false;
@@ -327,6 +327,9 @@ class TxnExecutor {
   /// read-only find()s, which is safe while the barrier serializes every
   /// mutation.
   HashMap<TxnId, std::unique_ptr<Active>> actives_;
+  /// One node's lock requests while Dispatch enqueues them (exclusive
+  /// context only); reused so dispatch allocates no request lists.
+  std::vector<storage::LockRequest> lock_scratch_;
 
   using PresenceShardMap = HashMap<Key, std::vector<std::function<void()>>>;
   /// Presence waiters, sharded per node: shard `n` is touched only by node

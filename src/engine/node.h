@@ -2,6 +2,7 @@
 #define HERMES_ENGINE_NODE_H_
 
 #include <memory>
+#include <vector>
 
 #include "common/types.h"
 #include "sim/simulator.h"
@@ -28,6 +29,9 @@ class Node {
   storage::LockManager& locks() { return locks_; }
   storage::UndoLog& undo() { return undo_; }
   sim::WorkerPool& workers() { return workers_; }
+  /// Reused output buffer for this node's lock calls (see GrantScratch in
+  /// executor.cc). Per node, because node lanes release concurrently.
+  std::vector<TxnId>& grant_scratch() { return grant_scratch_; }
 
  private:
   NodeId id_;
@@ -35,6 +39,7 @@ class Node {
   storage::LockManager locks_;
   storage::UndoLog undo_;
   sim::WorkerPool workers_;
+  std::vector<TxnId> grant_scratch_;
 };
 
 }  // namespace hermes::engine

@@ -105,10 +105,12 @@ void Scheduler::Process(Batch&& batch, bool log) {
   auto shared_plan =
       std::make_shared<routing::RoutePlan>(std::move(plan));
   sim_->ScheduleAt(dispatch_at, [this, shared_plan]() {
+    // The plan is dead after this one-shot event: each routed txn moves
+    // into its executor state once the observer has seen it.
     for (routing::RoutedTxn& rt : shared_plan->txns) {
       if (observer_) observer_(rt);
       TxnExecutor::CommitCallback cb = resolver_(rt.txn);
-      executor_->Dispatch(rt, std::move(cb));
+      executor_->Dispatch(std::move(rt), std::move(cb));
     }
   });
 }

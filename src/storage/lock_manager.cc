@@ -1,97 +1,204 @@
 #include "storage/lock_manager.h"
 
 #include <cassert>
+#include <utility>
+
+#include "common/hash.h"
 
 namespace hermes::storage {
 
-void LockManager::Acquire(TxnId txn, const std::vector<LockRequest>& reqs,
-                          std::vector<TxnId>* newly_granted) {
-  assert(!txns_.contains(txn) && "Acquire called twice for one txn");
-  TxnState& state = txns_[txn];
-  state.keys.reserve(reqs.size());
-  state.pending = reqs.size();
-  if (reqs.empty()) {
-    NoteGranted(txn, newly_granted);
-    return;
+template <typename V>
+size_t LockManager::FlatTable<V>::Home(uint64_t id) const {
+  return static_cast<size_t>(detail::SaltAndFinalize(id)) &
+         (slots_.size() - 1);
+}
+
+template <typename V>
+size_t LockManager::FlatTable<V>::IndexOf(uint64_t id) const {
+  if (size_ == 0) return slots_.size();
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Home(id); slots_[i].used; i = (i + 1) & mask) {
+    if (slots_[i].id == id) return i;
   }
-  for (const LockRequest& req : reqs) {
-    state.keys.push_back(req.key);
-    std::deque<Waiter>& queue = queues_[req.key];
-    queue.push_back(Waiter{txn, req.exclusive, /*granted=*/false});
-    if (queue.size() == 1) {
-      // Only occupant: grant immediately.
-      queue.front().granted = true;
-      NoteGranted(txn, newly_granted);
-    } else if (!req.exclusive) {
-      // Shared request joins the granted group iff everything ahead of it
-      // is a granted shared lock.
-      bool all_shared_granted = true;
-      for (size_t i = 0; i + 1 < queue.size(); ++i) {
-        if (queue[i].exclusive || !queue[i].granted) {
-          all_shared_granted = false;
-          break;
-        }
-      }
-      if (all_shared_granted) {
-        queue.back().granted = true;
-        NoteGranted(txn, newly_granted);
-      }
+  return slots_.size();
+}
+
+template <typename V>
+V* LockManager::FlatTable<V>::Find(uint64_t id) {
+  const size_t i = IndexOf(id);
+  return i == slots_.size() ? nullptr : &slots_[i].value;
+}
+
+template <typename V>
+const V* LockManager::FlatTable<V>::Find(uint64_t id) const {
+  const size_t i = IndexOf(id);
+  return i == slots_.size() ? nullptr : &slots_[i].value;
+}
+
+template <typename V>
+V& LockManager::FlatTable<V>::Insert(uint64_t id) {
+  assert(IndexOf(id) == slots_.size() && "FlatTable::Insert of a present id");
+  if ((size_ + 1) * 2 > slots_.size()) Grow();
+  const size_t mask = slots_.size() - 1;
+  size_t i = Home(id);
+  while (slots_[i].used) i = (i + 1) & mask;
+  slots_[i] = Slot{id, V{}, true};
+  ++size_;
+  return slots_[i].value;
+}
+
+template <typename V>
+void LockManager::FlatTable<V>::Erase(uint64_t id) {
+  size_t hole = IndexOf(id);
+  assert(hole != slots_.size() && "FlatTable::Erase of an absent id");
+  // Backward shift: pull each later entry of the probe run into the hole
+  // unless its home lies cyclically in (hole, j], where it must stay.
+  const size_t mask = slots_.size() - 1;
+  for (size_t j = (hole + 1) & mask; slots_[j].used; j = (j + 1) & mask) {
+    const size_t home = Home(slots_[j].id);
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
     }
   }
+  slots_[hole].used = false;
+  --size_;
+}
+
+template <typename V>
+void LockManager::FlatTable<V>::Grow() {
+  std::vector<Slot> old = std::exchange(
+      slots_, std::vector<Slot>(slots_.empty() ? 16 : 2 * slots_.size()));
+  const size_t mask = slots_.size() - 1;
+  // Rehash only places entries; it decides nothing, so walking the old
+  // slots in (salted) order is harmless.
+  for (const Slot& s : old) {
+    if (!s.used) continue;
+    size_t i = Home(s.id);
+    while (slots_[i].used) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
+}
+
+uint32_t LockManager::NewWaiter() {
+  if (free_ != kNil) {
+    const uint32_t w = free_;
+    free_ = waiters_[w].next_in_key;
+    return w;
+  }
+  assert(waiters_.size() < kNil && "waiter slab exhausted");
+  waiters_.emplace_back();
+  return static_cast<uint32_t>(waiters_.size() - 1);
+}
+
+void LockManager::Acquire(TxnId txn, const std::vector<LockRequest>& reqs,
+                          std::vector<TxnId>* newly_granted) {
+  assert(txns_.Find(txn) == nullptr && "Acquire called twice for one txn");
+  uint32_t first = kNil;
+  uint32_t last = kNil;
+  uint32_t pending = static_cast<uint32_t>(reqs.size());
+  for (const LockRequest& req : reqs) {
+    const uint32_t w = NewWaiter();
+    uint32_t prev = kNil;
+    bool grant = true;  // the only occupant is granted immediately
+    KeyQueue* queue = keys_.Find(req.key);
+    if (queue == nullptr) {
+      queue = &keys_.Insert(req.key);
+      queue->head = w;
+    } else {
+      prev = queue->tail;
+      // All of this txn's waiters are appended by this one call, so a
+      // duplicate key would find its own earlier waiter at the tail.
+      assert(waiters_[prev].txn != txn && "duplicate key in one Acquire");
+      waiters_[prev].next_in_key = w;
+      // A shared request joins the granted group iff everything ahead of
+      // it is a granted shared lock.
+      grant = !req.exclusive && queue->blocking == 0;
+    }
+    queue->tail = w;
+    if (req.exclusive || !grant) ++queue->blocking;
+    if (grant) --pending;
+    waiters_[w] = Waiter{req.key, txn, prev, kNil, kNil, req.exclusive, grant};
+    if (last == kNil) {
+      first = w;
+    } else {
+      waiters_[last].next_of_txn = w;
+    }
+    last = w;
+  }
+  TxnLocks& state = txns_.Insert(txn);
+  state.first = first;
+  state.pending = pending;
+  if (pending == 0) newly_granted->push_back(txn);
 }
 
 void LockManager::Release(TxnId txn, std::vector<TxnId>* newly_granted) {
-  auto it = txns_.find(txn);
-  if (it == txns_.end()) return;
-  std::vector<Key> keys = std::move(it->second.keys);
-  txns_.erase(it);
-  for (Key key : keys) {
-    auto qit = queues_.find(key);
-    if (qit == queues_.end()) continue;
-    std::deque<Waiter>& queue = qit->second;
-    for (auto w = queue.begin(); w != queue.end(); ++w) {
-      if (w->txn == txn) {
-        queue.erase(w);
-        break;
-      }
-    }
-    if (queue.empty()) {
-      queues_.erase(qit);
+  const TxnLocks* state = txns_.Find(txn);
+  if (state == nullptr) return;
+  uint32_t w = state->first;
+  txns_.Erase(txn);
+  while (w != kNil) {
+    Waiter& waiter = waiters_[w];
+    const uint32_t next = waiter.next_of_txn;
+    const Key key = waiter.key;
+    KeyQueue* queue = keys_.Find(key);
+    assert(queue != nullptr);
+    if (waiter.exclusive || !waiter.granted) --queue->blocking;
+    if (waiter.prev_in_key == kNil) {
+      queue->head = waiter.next_in_key;
     } else {
-      GrantFront(key, queue, newly_granted);
+      waiters_[waiter.prev_in_key].next_in_key = waiter.next_in_key;
     }
+    if (waiter.next_in_key == kNil) {
+      queue->tail = waiter.prev_in_key;
+    } else {
+      waiters_[waiter.next_in_key].prev_in_key = waiter.prev_in_key;
+    }
+    waiter.next_in_key = free_;
+    free_ = w;
+    if (queue->head == kNil) {
+      keys_.Erase(key);
+    } else {
+      GrantFront(*queue, newly_granted);
+    }
+    w = next;
   }
 }
 
-void LockManager::GrantFront(Key key, std::deque<Waiter>& queue,
+void LockManager::GrantFront(KeyQueue& queue,
                              std::vector<TxnId>* newly_granted) {
-  (void)key;
-  if (queue.front().exclusive) {
-    if (!queue.front().granted) {
-      queue.front().granted = true;
-      NoteGranted(queue.front().txn, newly_granted);
+  if (queue.blocking == 0) return;  // all granted shared locks
+  Waiter& head = waiters_[queue.head];
+  if (head.exclusive) {
+    if (!head.granted) {
+      head.granted = true;
+      NoteGranted(head.txn, newly_granted);
     }
     return;
   }
-  // Grant the all-shared prefix.
-  for (Waiter& w : queue) {
-    if (w.exclusive) break;
-    if (!w.granted) {
-      w.granted = true;
-      NoteGranted(w.txn, newly_granted);
+  // Grant the all-shared prefix; granted waiters always form a prefix, so
+  // once `blocking` reaches 0 nothing further can change.
+  for (uint32_t w = queue.head; w != kNil && queue.blocking > 0;
+       w = waiters_[w].next_in_key) {
+    Waiter& waiter = waiters_[w];
+    if (waiter.exclusive) break;
+    if (!waiter.granted) {
+      waiter.granted = true;
+      --queue.blocking;
+      NoteGranted(waiter.txn, newly_granted);
     }
   }
 }
 
 void LockManager::NoteGranted(TxnId txn, std::vector<TxnId>* newly_granted) {
-  TxnState& state = txns_.at(txn);
-  if (state.pending > 0) --state.pending;
-  if (state.pending == 0) newly_granted->push_back(txn);
+  TxnLocks* state = txns_.Find(txn);
+  assert(state != nullptr && state->pending > 0);
+  if (--state->pending == 0) newly_granted->push_back(txn);
 }
 
 bool LockManager::HoldsAll(TxnId txn) const {
-  auto it = txns_.find(txn);
-  return it != txns_.end() && it->second.pending == 0;
+  const TxnLocks* state = txns_.Find(txn);
+  return state != nullptr && state->pending == 0;
 }
 
 }  // namespace hermes::storage

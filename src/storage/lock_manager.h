@@ -3,10 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/types.h"
 
 namespace hermes::storage {
@@ -24,6 +22,12 @@ struct LockRequest {
 /// rules out both deadlock and non-deterministic aborts — and produces the
 /// clogging behaviour the paper describes when a lock holder stalls on the
 /// network.
+///
+/// Layout (DESIGN.md "Lock table layout"): two open-addressing tables —
+/// key → FIFO of waiters, txn → its waiters — over one pooled slab of
+/// waiters linked intrusively, so a warmed-up table makes no heap
+/// allocation per request. Neither table is ever iterated; every decision
+/// follows list order, so the hash salt cannot reach a grant.
 class LockManager {
  public:
   LockManager() = default;
@@ -36,14 +40,15 @@ class LockManager {
   /// whose final local lock was granted by this call (possibly `txn`
   /// itself, possibly none) are appended to `*newly_granted`.
   ///
-  /// Duplicate keys within `reqs` are the caller's bug; the strongest mode
-  /// must be pre-merged (a read-modify-write key is one exclusive lock).
+  /// Duplicate keys within `reqs` are the caller's bug (asserted in debug
+  /// builds); the strongest mode must be pre-merged (a read-modify-write
+  /// key is one exclusive lock).
   void Acquire(TxnId txn, const std::vector<LockRequest>& reqs,
                std::vector<TxnId>* newly_granted);
 
   /// Releases every lock `txn` holds or waits for on this node, granting
   /// successors; transactions that became fully granted are appended to
-  /// `*newly_granted`.
+  /// `*newly_granted`. Unknown transactions are a no-op.
   void Release(TxnId txn, std::vector<TxnId>* newly_granted);
 
   /// True once all of `txn`'s local locks are granted (false for unknown
@@ -54,28 +59,74 @@ class LockManager {
   size_t num_txns() const { return txns_.size(); }
 
   /// Number of keys with at least one queued request (diagnostics).
-  size_t num_active_keys() const { return queues_.size(); }
+  size_t num_active_keys() const { return keys_.size(); }
 
  private:
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  /// Open-addressing hash table from a 64-bit id to `V`: linear probing
+  /// from the salted home slot, backward-shift deletion (no tombstones),
+  /// capacity doubled at half load. Entries move on insert and erase, so
+  /// pointers returned by Find/Insert die at the next mutation.
+  template <typename V>
+  class FlatTable {
+   public:
+    V* Find(uint64_t id);
+    const V* Find(uint64_t id) const;
+    /// Inserts a value-initialized entry; `id` must be absent.
+    V& Insert(uint64_t id);
+    /// Removes the entry; `id` must be present.
+    void Erase(uint64_t id);
+    size_t size() const { return size_; }
+
+   private:
+    struct Slot {
+      uint64_t id;
+      V value;
+      bool used;
+    };
+    size_t Home(uint64_t id) const;
+    size_t IndexOf(uint64_t id) const;  ///< slots_.size() when absent
+    void Grow();
+
+    std::vector<Slot> slots_;
+    size_t size_ = 0;
+  };
+
+  /// One request in the slab: a node of its key's FIFO (doubly linked, so
+  /// a waiting txn leaves from mid-queue in O(1)) and of its txn's chain
+  /// (acquire order). Free waiters chain through `next_in_key`.
   struct Waiter {
+    Key key;
     TxnId txn;
+    uint32_t prev_in_key;
+    uint32_t next_in_key;
+    uint32_t next_of_txn;
     bool exclusive;
     bool granted;
   };
-  struct TxnState {
-    std::vector<Key> keys;
-    size_t pending = 0;
+  /// A key's FIFO. `blocking` counts waiters that are exclusive or not yet
+  /// granted: a shared request joins the granted group iff it is 0.
+  struct KeyQueue {
+    uint32_t head;
+    uint32_t tail;
+    uint32_t blocking;
+  };
+  struct TxnLocks {
+    uint32_t first;    ///< first waiter of the txn chain (kNil if none)
+    uint32_t pending;  ///< requests not yet granted
   };
 
+  uint32_t NewWaiter();
   /// Grants the longest grantable prefix of `queue`; appends transactions
   /// that became fully granted to `*newly_granted`.
-  void GrantFront(Key key, std::deque<Waiter>& queue,
-                  std::vector<TxnId>* newly_granted);
-
+  void GrantFront(KeyQueue& queue, std::vector<TxnId>* newly_granted);
   void NoteGranted(TxnId txn, std::vector<TxnId>* newly_granted);
 
-  HashMap<Key, std::deque<Waiter>> queues_;
-  HashMap<TxnId, TxnState> txns_;
+  FlatTable<KeyQueue> keys_;
+  FlatTable<TxnLocks> txns_;
+  std::vector<Waiter> waiters_;
+  uint32_t free_ = kNil;  ///< head of the free-waiter chain
 };
 
 }  // namespace hermes::storage

@@ -155,5 +155,42 @@ TEST(LockManagerTest, ManyKeysManyTxnsDrainCompletely) {
   EXPECT_EQ(lm.num_active_keys(), 0u);
 }
 
+TEST(LockManagerTest, ReleaseOfUnknownTxnIsNoOp) {
+  LockManager lm;
+  std::vector<TxnId> granted;
+  lm.Acquire(1, Reqs({{10, true}}), &granted);
+  granted.clear();
+  lm.Release(99, &granted);
+  EXPECT_TRUE(granted.empty());
+  EXPECT_EQ(lm.num_txns(), 1u);
+  EXPECT_EQ(lm.num_active_keys(), 1u);
+  lm.Release(1, &granted);
+  lm.Release(1, &granted);  // second release: unknown again
+  EXPECT_TRUE(granted.empty());
+  EXPECT_EQ(lm.num_txns(), 0u);
+}
+
+#ifndef NDEBUG
+TEST(LockManagerDeathTest, AcquireTwiceAsserts) {
+  LockManager lm;
+  std::vector<TxnId> granted;
+  lm.Acquire(1, Reqs({{10, true}}), &granted);
+  EXPECT_DEATH(lm.Acquire(1, Reqs({{20, false}}), &granted),
+               "Acquire called twice");
+}
+
+TEST(LockManagerDeathTest, DuplicateKeyInOneAcquireAsserts) {
+  LockManager lm;
+  std::vector<TxnId> granted;
+  lm.Acquire(1, Reqs({{10, false}}), &granted);  // 10 already queued
+  EXPECT_DEATH(lm.Acquire(2, Reqs({{10, false}, {20, true}, {10, true}}),
+                          &granted),
+               "duplicate key");
+  // First occupant of a key: the duplicate finds its own waiter at the tail.
+  EXPECT_DEATH(lm.Acquire(3, Reqs({{30, true}, {30, true}}), &granted),
+               "duplicate key");
+}
+#endif  // NDEBUG
+
 }  // namespace
 }  // namespace hermes::storage
