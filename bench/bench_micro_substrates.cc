@@ -1,6 +1,6 @@
 // Microbenchmarks for the substrate data structures (google-benchmark):
 // conservative ordered lock manager, fusion table, Zipfian generators,
-// event queue, and record store.
+// event queue, multi-lane simulator, and record store.
 
 #include <memory>
 #include <vector>
@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "core/fusion_table.h"
 #include "sim/event_queue.h"
+#include "sim/simulator.h"
 #include "storage/lock_manager.h"
 #include "storage/record_store.h"
 #include "workload/distributions.h"
@@ -144,6 +145,46 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueuePushPop);
+
+/// Hold model on the full simulator: a fixed number of event chains stay
+/// in flight, and each firing reschedules its chain on a pseudo-random
+/// lane 1..1000 us ahead. With more than one lane most hops cross lanes,
+/// so they stage through the epoch barrier — the simulator's queue, lane
+/// and barrier machinery per event, with no engine work on top.
+struct HoldChains {
+  hermes::sim::Simulator* sim;
+  uint64_t remaining;
+  uint64_t state;
+  int lanes;
+
+  void Fire() {
+    if (remaining == 0) return;
+    --remaining;
+    state = hermes::Mix64(state);
+    const int lane = static_cast<int>(state % static_cast<uint64_t>(lanes));
+    const hermes::SimTime delay = 1 + (state >> 32) % 1000;
+    sim->ScheduleOnLane(lane, delay, [this] { Fire(); });
+  }
+};
+
+void BM_SimulatorHold(benchmark::State& state) {
+  const int lanes = static_cast<int>(state.range(0));
+  const auto depth = static_cast<uint64_t>(state.range(1));
+  constexpr uint64_t kEvents = 100'000;
+  hermes::sim::Simulator sim;
+  sim.ConfigureLanes(lanes, /*threads=*/0);
+  HoldChains chains{&sim, 0, 1, lanes};
+  for (auto _ : state) {
+    chains.remaining = kEvents;
+    for (uint64_t i = 0; i < depth; ++i) chains.Fire();
+    sim.RunAll();
+  }
+  state.SetItemsProcessed(state.iterations() * kEvents);
+}
+BENCHMARK(BM_SimulatorHold)
+    ->Args({1, 1'000})
+    ->Args({10, 1'000})
+    ->Args({10, 10'000});
 
 void BM_RecordStoreApplyWrite(benchmark::State& state) {
   hermes::storage::RecordStore store;

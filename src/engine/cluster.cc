@@ -74,6 +74,7 @@ Cluster::Cluster(const ClusterConfig& config, RouterKind kind,
     nodes_.push_back(
         std::make_unique<Node>(i, &sim_, config_.workers_per_node));
   }
+  executor_.EnsureNodes(config_.num_nodes);
   sim_.set_decision_digest(&digest_);
   if (kind_ == RouterKind::kHermes) {
     static_cast<core::HermesRouter*>(router_.get())
@@ -316,13 +317,28 @@ void Cluster::Submit(TxnRequest txn, TxnExecutor::CommitCallback on_commit) {
 void Cluster::SubmitSequenced(TxnRequest txn,
                               TxnExecutor::CommitCallback on_commit) {
   // One network hop from the client to its sequencer.
-  sim_.Schedule(config_.costs.net_latency_us,
-                [this, txn = std::move(txn),
-                 cb = std::move(on_commit)]() mutable {
-                  const TxnId id = sequencer_.next_txn_id();
-                  sequencer_.Submit(std::move(txn));
-                  if (cb) pending_callbacks_[id] = std::move(cb);
-                });
+  ScheduleSequencerEntry(config_.costs.net_latency_us, std::move(txn),
+                         std::move(on_commit), /*restamp=*/false);
+}
+
+void Cluster::ScheduleSequencerEntry(SimTime delay, TxnRequest txn,
+                                     TxnExecutor::CommitCallback on_commit,
+                                     bool restamp) {
+  assert(!sim_.in_lane_context() &&
+         "sequencer entries are scheduled in exclusive context only");
+  const uint32_t slot = sequencer_entries_.Park(
+      SequencerEntry{std::move(txn), std::move(on_commit), restamp});
+  sim_.Schedule(delay, sim::InlineTask([this, slot]() {
+                  EnterSequencer(slot);
+                }));
+}
+
+void Cluster::EnterSequencer(uint32_t slot) {
+  SequencerEntry entry = sequencer_entries_.Take(slot);
+  if (entry.restamp) entry.txn.submit_time = sim_.Now();
+  const TxnId id = sequencer_.next_txn_id();
+  sequencer_.Submit(std::move(entry.txn));
+  if (entry.cb) pending_callbacks_.Insert(id) = std::move(entry.cb);
 }
 
 void Cluster::SubmitWithReconnaissance(
@@ -389,10 +405,10 @@ void Cluster::InjectBatch(const Batch& batch) {
 }
 
 TxnExecutor::CommitCallback Cluster::ResolveCallback(const TxnRequest& txn) {
-  auto it = pending_callbacks_.find(txn.id);
-  if (it == pending_callbacks_.end()) return nullptr;
-  TxnExecutor::CommitCallback cb = std::move(it->second);
-  pending_callbacks_.erase(it);
+  auto* it = pending_callbacks_.Find(txn.id);
+  if (it == nullptr) return nullptr;
+  TxnExecutor::CommitCallback cb = std::move(*it);
+  pending_callbacks_.Erase(txn.id);
   return cb;
 }
 
@@ -487,12 +503,7 @@ void Cluster::EnableClay(const routing::ClayConfig& clay_config) {
 NodeId Cluster::AddNode(const std::vector<RangeMove>& cold_plan,
                         bool migrate_cold) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
-  sim_.EnsureLanes(id + 1);
-  tracer_.EnsureNode(id);
-  nodes_.push_back(std::make_unique<Node>(id, &sim_, config_.workers_per_node));
-  net_.EnsureCapacity(id + 1);
-  wire_.GrowLinks(id + 1);
-  lease_mgr_.EnsureNode(id);
+  GrowPhysicalNodes(id + 1);
 
   TxnRequest marker;
   marker.kind = TxnKind::kAddNode;
@@ -509,6 +520,20 @@ NodeId Cluster::AddNode(const std::vector<RangeMove>& cold_plan,
     SubmitMigrationPlan(moves);
   }
   return id;
+}
+
+void Cluster::GrowPhysicalNodes(int count) {
+  while (num_nodes() < count) {
+    const NodeId id = static_cast<NodeId>(nodes_.size());
+    sim_.EnsureLanes(id + 1);
+    tracer_.EnsureNode(id);
+    lease_mgr_.EnsureNode(id);
+    nodes_.push_back(
+        std::make_unique<Node>(id, &sim_, config_.workers_per_node));
+  }
+  net_.EnsureCapacity(num_nodes());
+  wire_.GrowLinks(num_nodes());
+  executor_.EnsureNodes(num_nodes());
 }
 
 void Cluster::RemoveNode(NodeId node, const std::vector<RangeMove>& cold_plan,
@@ -557,16 +582,7 @@ storage::Checkpoint Cluster::TakeCheckpoint() const {
 }
 
 void Cluster::RestoreFromCheckpoint(const storage::Checkpoint& checkpoint) {
-  while (nodes_.size() < checkpoint.stores.size()) {
-    const NodeId id = static_cast<NodeId>(nodes_.size());
-    sim_.EnsureLanes(id + 1);
-    tracer_.EnsureNode(id);
-    lease_mgr_.EnsureNode(id);
-    nodes_.push_back(
-        std::make_unique<Node>(id, &sim_, config_.workers_per_node));
-  }
-  net_.EnsureCapacity(static_cast<int>(nodes_.size()));
-  wire_.GrowLinks(static_cast<int>(nodes_.size()));
+  GrowPhysicalNodes(static_cast<int>(checkpoint.stores.size()));
   // Leases are soft state: checkpoints capture only primaries, so a
   // restore starts with no copies and no lease bookkeeping — the router
   // re-grants from fresh counters during replay, exactly as the live run
@@ -602,16 +618,7 @@ void Cluster::ReplayBatches(const std::vector<Batch>& batches) {
     for (const TxnRequest& txn : batch.txns) {
       if (txn.kind == TxnKind::kAddNode &&
           txn.migration_target >= num_nodes()) {
-        while (num_nodes() <= txn.migration_target) {
-          const NodeId id = static_cast<NodeId>(nodes_.size());
-          sim_.EnsureLanes(id + 1);
-          tracer_.EnsureNode(id);
-          lease_mgr_.EnsureNode(id);
-          nodes_.push_back(
-              std::make_unique<Node>(id, &sim_, config_.workers_per_node));
-        }
-        net_.EnsureCapacity(num_nodes());
-        wire_.GrowLinks(num_nodes());
+        GrowPhysicalNodes(txn.migration_target + 1);
       }
     }
     Batch copy = batch;
@@ -884,13 +891,8 @@ void Cluster::ScheduleRetryOrFail(TxnRequest txn,
       RetryRecord{blocked_id, retry_of, txn.attempt, epoch, delay, false});
   txn.attempt += 1;
   txn.retry_of = retry_of;
-  sim_.Schedule(delay, [this, txn = std::move(txn),
-                        cb = std::move(cb)]() mutable {
-    txn.submit_time = sim_.Now();
-    const TxnId new_id = sequencer_.next_txn_id();
-    sequencer_.Submit(std::move(txn));
-    if (cb) pending_callbacks_[new_id] = std::move(cb);
-  });
+  ScheduleSequencerEntry(delay, std::move(txn), std::move(cb),
+                         /*restamp=*/true);
 }
 
 void Cluster::OnWatchdogAbort(TxnRequest txn, TxnExecutor::CommitCallback cb,

@@ -9,6 +9,7 @@
 
 #include "common/config.h"
 #include "common/digest.h"
+#include "common/flat_table.h"
 #include "common/hash.h"
 #include "common/membership.h"
 #include "common/rng.h"
@@ -31,6 +32,7 @@
 #include "routing/router.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "sim/task.h"
 #include "storage/checkpoint.h"
 #include "storage/command_log.h"
 
@@ -347,6 +349,20 @@ class Cluster {
                                 TxnExecutor::CommitCallback on_commit);
   void SubmitSequenced(TxnRequest txn,
                        TxnExecutor::CommitCallback on_commit);
+  /// Hands `txn` to the sequencer `delay` from now and registers its
+  /// callback under the id it receives there; `restamp` resets its submit
+  /// time on arrival (deterministic retries). The pair waits in a slot,
+  /// so the event stays inline. Exclusive context only.
+  void ScheduleSequencerEntry(SimTime delay, TxnRequest txn,
+                              TxnExecutor::CommitCallback on_commit,
+                              bool restamp);
+  // detlint:runs(exclusive)
+  void EnterSequencer(uint32_t slot);
+  /// Creates physical nodes (lane, tracer ring, lease shard, network and
+  /// wire rows, executor state) until there are `count`. Exclusive
+  /// context only.
+  // detlint:requires(exclusive)
+  void GrowPhysicalNodes(int count);
   void OnBatchSequenced(Batch&& batch);
   TxnExecutor::CommitCallback ResolveCallback(const TxnRequest& txn);
   void SampleWindow();
@@ -418,7 +434,15 @@ class Cluster {
   Sequencer sequencer_;
   Scheduler scheduler_;
 
-  HashMap<TxnId, TxnExecutor::CommitCallback> pending_callbacks_;
+  /// Client callbacks by txn id, from sequencer entry until dispatch.
+  FlatTable<TxnExecutor::CommitCallback> pending_callbacks_;
+  /// Requests on their way to the sequencer (see ScheduleSequencerEntry).
+  struct SequencerEntry {
+    TxnRequest txn;
+    TxnExecutor::CommitCallback cb;
+    bool restamp = false;
+  };
+  sim::SlotPool<SequencerEntry> sequencer_entries_;
 
   std::deque<TxnRequest> chunk_queue_;
   bool chunk_in_flight_ = false;

@@ -12,11 +12,11 @@ namespace {
 
 using routing::Access;
 using routing::RoutedTxn;
+using sim::InlineTask;
 
-std::vector<Key> SortedUnique(std::vector<Key> keys) {
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  return keys;
+void SortUnique(std::vector<Key>* keys) {
+  std::sort(keys->begin(), keys->end());
+  keys->erase(std::unique(keys->begin(), keys->end()), keys->end());
 }
 
 /// Packs one planned access into a TraceEvent arg: new-owner node in the
@@ -59,30 +59,29 @@ void CollectLockRequests(const RoutedTxn& plan, NodeId node, bool fence,
              out->end());
 }
 
-/// Borrows a node's grant scratch vector for one lock call and the grant
-/// processing after it. The buffer is swapped out, so a nested borrow on
-/// the same node (a grant that releases again) gets an empty vector, and
-/// it goes back cleared with its capacity: steady-state lock calls
-/// allocate nothing.
-class GrantScratch {
+/// Borrows a reusable scratch vector for one call (a lock call and its
+/// grant processing, a send phase, a presence registration). The buffer
+/// is swapped out of its home, so a nested borrow of the same home gets
+/// an empty vector, and it goes back cleared with its capacity: a
+/// warmed-up borrow allocates nothing.
+template <typename T>
+class Borrowed {
  public:
-  explicit GrantScratch(Node& node) : node_(node) {
-    granted_.swap(node.grant_scratch());
+  explicit Borrowed(std::vector<T>& home) : home_(home) { v_.swap(home); }
+  ~Borrowed() {
+    v_.clear();
+    if (v_.capacity() > home_.capacity()) home_.swap(v_);
   }
-  ~GrantScratch() {
-    granted_.clear();
-    std::vector<TxnId>& home = node_.grant_scratch();
-    if (granted_.capacity() > home.capacity()) home.swap(granted_);
-  }
-  GrantScratch(const GrantScratch&) = delete;
-  GrantScratch& operator=(const GrantScratch&) = delete;
+  Borrowed(const Borrowed&) = delete;
+  Borrowed& operator=(const Borrowed&) = delete;
 
-  std::vector<TxnId>* get() { return &granted_; }
-  const std::vector<TxnId>& operator*() const { return granted_; }
+  std::vector<T>* get() { return &v_; }
+  std::vector<T>* operator->() { return &v_; }
+  std::vector<T>& operator*() { return v_; }
 
  private:
-  Node& node_;
-  std::vector<TxnId> granted_;
+  std::vector<T>& home_;
+  std::vector<T> v_;
 };
 
 }  // namespace
@@ -91,6 +90,46 @@ TxnExecutor::TxnExecutor(sim::Simulator* sim, net::Wire* wire,
                          Metrics* metrics, const CostModel* costs,
                          std::vector<std::unique_ptr<Node>>* nodes)
     : sim_(sim), net_(wire), metrics_(metrics), costs_(costs), nodes_(nodes) {}
+
+void TxnExecutor::EnsureNodes(int num_nodes) {
+  assert(!sim_->in_lane_context() &&
+         "per-node executor state may only grow in exclusive context");
+  if (static_cast<int>(per_node_.size()) < num_nodes) {
+    per_node_.resize(static_cast<size_t>(num_nodes));
+  }
+}
+
+void TxnExecutor::Active::Recycle() {
+  // Become a fresh record, but keep the vectors' buffers.
+  Active fresh;
+  nodes.clear();
+  owned.clear();
+  masters.clear();
+  write_keys.clear();
+  fresh.nodes.swap(nodes);
+  fresh.owned.swap(owned);
+  fresh.masters.swap(masters);
+  fresh.write_keys.swap(write_keys);
+  *this = std::move(fresh);
+}
+
+TxnExecutor::Active& TxnExecutor::AcquireActive() {
+  if (spare_.empty()) {
+    active_pool_.push_back(std::make_unique<Active>());
+    return *active_pool_.back();
+  }
+  Active* a = spare_.back();
+  spare_.pop_back();
+  return *a;
+}
+
+void TxnExecutor::RetireActive(Active& a) {
+  const TxnId id = a.plan.txn.id;
+  frozen_ids_.erase(id);
+  actives_.Erase(id);
+  a.Recycle();
+  spare_.push_back(&a);
+}
 
 TxnExecutor::NodeState* TxnExecutor::StateFor(Active& a, NodeId node) {
   for (auto& [id, state] : a.nodes) {
@@ -114,8 +153,8 @@ bool TxnExecutor::IsMaster(const Active& a, NodeId node) const {
 }
 
 void TxnExecutor::Dispatch(RoutedTxn routed, CommitCallback on_commit) {
-  auto owned_active = std::make_unique<Active>();
-  Active& a = *owned_active;
+  EnsureNodes(static_cast<int>(nodes_->size()));
+  Active& a = AcquireActive();
   a.plan = std::move(routed);
   const RoutedTxn& plan = a.plan;
   const TxnId id = plan.txn.id;
@@ -144,11 +183,13 @@ void TxnExecutor::Dispatch(RoutedTxn routed, CommitCallback on_commit) {
 
   a.on_commit = std::move(on_commit);
   a.dispatch_time = sim_->Now();
-  a.write_keys = SortedUnique(plan.txn.write_set);
+  a.write_keys.assign(plan.txn.write_set.begin(), plan.txn.write_set.end());
+  SortUnique(&a.write_keys);
   for (NodeId m : plan.masters) a.masters.push_back(MasterState{m});
 
   // Group owned accesses per involved node. a.nodes is kept sorted by node
-  // id, so every walk over it is in node order.
+  // id, so every walk over it is in node order; a.owned holds each node's
+  // accesses as one run, in plan order.
   auto state_of = [&a](NodeId node) -> NodeState& {
     auto it = std::lower_bound(
         a.nodes.begin(), a.nodes.end(), node,
@@ -158,16 +199,26 @@ void TxnExecutor::Dispatch(RoutedTxn routed, CommitCallback on_commit) {
     }
     return it->second;
   };
-  for (const Access& acc : plan.accesses) {
-    state_of(acc.owner).owned.push_back(acc);
-  }
+  for (const Access& acc : plan.accesses) ++state_of(acc.owner).owned_count;
   for (const auto& m : a.masters) state_of(m.node).is_master = true;
+  uint32_t run_begin = 0;
+  for (auto& [node, state] : a.nodes) {
+    state.owned_begin = run_begin;
+    run_begin += state.owned_count;
+    state.owned_count = 0;  // refilled below
+  }
+  a.owned.resize(plan.accesses.size());
+  for (const Access& acc : plan.accesses) {
+    NodeState& state = *StateFor(a, acc.owner);
+    a.owned[state.owned_begin + state.owned_count++] = acc;
+  }
 
   // Count expected shipments per master: one message per (source node,
   // master) pair with at least one shipped access.
+  std::vector<NodeId>& targets = targets_scratch_;
   for (auto& [node, state] : a.nodes) {
-    std::vector<NodeId> targets;
-    for (const Access& acc : state.owned) {
+    targets.clear();
+    for (const Access& acc : Owned(a, state)) {
       if (!acc.ship_to_master) continue;
       if (acc.new_owner != kInvalidNode && acc.new_owner != node &&
           IsMaster(a, acc.new_owner)) {
@@ -196,7 +247,8 @@ void TxnExecutor::Dispatch(RoutedTxn routed, CommitCallback on_commit) {
     if (NodeWillSend(a, state, node)) ++a.participants_pending;
   }
 
-  actives_[id] = std::move(owned_active);
+  assert(Find(id) == nullptr && "transaction dispatched twice");
+  actives_.Insert(id) = &a;
 
   // Enqueue all lock requests in total order (ascending node id within the
   // transaction; Dispatch itself is called in total order).
@@ -205,7 +257,7 @@ void TxnExecutor::Dispatch(RoutedTxn routed, CommitCallback on_commit) {
     state.acquire_time = sim_->Now();
     CollectLockRequests(plan, node, regular && state.is_master,
                         &lock_scratch_);
-    GrantScratch granted(NodeAt(node));
+    Borrowed<TxnId> granted(NodeAt(node).grant_scratch());
     NodeAt(node).locks().Acquire(id, lock_scratch_, granted.get());
     ProcessGrants(node, *granted);
   }
@@ -214,15 +266,13 @@ void TxnExecutor::Dispatch(RoutedTxn routed, CommitCallback on_commit) {
 void TxnExecutor::ProcessGrants(NodeId node,
                                 const std::vector<TxnId>& granted) {
   for (TxnId t : granted) {
-    auto it = actives_.find(t);
-    if (it == actives_.end()) continue;
-    OnNodeGranted(*it->second, node);
+    if (Active* a = Find(t)) OnNodeGranted(*a, node);
   }
 }
 
 bool TxnExecutor::NodeWillSend(const Active& a, const NodeState& state,
                                NodeId node) const {
-  for (const Access& acc : state.owned) {
+  for (const Access& acc : Owned(a, state)) {
     const bool migrates =
         acc.new_owner != kInvalidNode && acc.new_owner != node;
     const bool ships = acc.ship_to_master &&
@@ -235,128 +285,125 @@ bool TxnExecutor::NodeWillSend(const Active& a, const NodeState& state,
 void TxnExecutor::OnNodeGranted(Active& a, NodeId node) {
   NodeState* state = StateFor(a, node);
   assert(state != nullptr && !state->granted);
+  const TxnId id = a.plan.txn.id;
   if (NodeDead(node)) {
     // Grant reached a dead node (its previous lock holder committed or
     // was aborted): the transaction cannot make progress here. Leave it
     // ungranted and stalled; rejoin re-drives the grant from the top, or
     // the watchdog reclassifies it first.
-    const TxnId id = a.plan.txn.id;
     FreezeStalled(a, node, [this, id, node]() {
-      auto it = actives_.find(id);
-      if (it == actives_.end()) return;
-      OnNodeGranted(*it->second, node);
+      if (Active* act = Find(id)) OnNodeGranted(*act, node);
     });
     return;
   }
   state->granted = true;
   state->grant_time = sim_->Now();
+  NodeLocal& local = per_node_[static_cast<size_t>(node)];
 
   // Participant side: ship records once they are physically present.
-  std::vector<Key> needed;
-  for (const Access& acc : state->owned) {
-    const bool migrates =
-        acc.new_owner != kInvalidNode && acc.new_owner != node;
-    const bool ships = acc.ship_to_master &&
-                       (a.masters.size() > 1 || a.masters[0].node != node);
-    if (migrates || ships) needed.push_back(acc.key);
-  }
-  const TxnId id = a.plan.txn.id;
   if (NodeWillSend(a, *state, node)) {
-    WaitPresence(node, SortedUnique(std::move(needed)),
-                 [this, id, node]() {
-                   auto it = actives_.find(id);
-                   if (it == actives_.end()) return;
-                   StartParticipant(*it->second, node);
-                 });
+    Borrowed<Key> needed(local.keys);
+    for (const Access& acc : Owned(a, *state)) {
+      const bool migrates =
+          acc.new_owner != kInvalidNode && acc.new_owner != node;
+      const bool ships = acc.ship_to_master &&
+                         (a.masters.size() > 1 || a.masters[0].node != node);
+      if (migrates || ships) needed->push_back(acc.key);
+    }
+    SortUnique(needed.get());
+    WaitPresence(node, *needed, InlineTask([this, id, node]() {
+                   if (Active* act = Find(id)) StartParticipant(*act, node);
+                 }));
   }
 
   // Master side: check local presence, then readiness. Replica reads wait
   // on the lease copy instead of the primary store (the primary lives
-  // elsewhere); both waits share one countdown so local_present flips
-  // exactly once.
+  // elsewhere); both waits count down MasterState::presence_pending so
+  // local_present flips exactly once.
   MasterState* m = MasterFor(a, node);
   if (m != nullptr) {
-    std::vector<Key> local;
-    std::vector<Key> replica;
-    for (const Access& acc : state->owned) {
+    Borrowed<Key> primary(local.keys);
+    Borrowed<Key> replica(local.more_keys);
+    for (const Access& acc : Owned(a, *state)) {
       if (acc.replica_read && lease_mgr_ != nullptr) {
-        replica.push_back(acc.key);
+        replica->push_back(acc.key);
       } else {
-        local.push_back(acc.key);
+        primary->push_back(acc.key);
       }
     }
-    auto remaining = std::make_shared<int>(replica.empty() ? 1 : 2);
-    auto present = [this, id, node, remaining]() {
-      if (--*remaining > 0) return;
-      auto it = actives_.find(id);
-      if (it == actives_.end()) return;
-      Active& act = *it->second;
-      MasterState* ms = MasterFor(act, node);
-      ms->local_present = true;
-      CheckMasterReady(act, *ms);
-    };
-    if (!replica.empty()) {
-      lease_mgr_->WaitCopies(node, SortedUnique(std::move(replica)), present);
+    m->presence_pending = replica->empty() ? 1 : 2;
+    auto present = [this, id, node]() { OnMasterPresent(id, node); };
+    if (!replica->empty()) {
+      SortUnique(replica.get());
+      lease_mgr_->WaitCopies(node, *replica, present);
     }
-    WaitPresence(node, SortedUnique(std::move(local)), present);
+    SortUnique(primary.get());
+    WaitPresence(node, *primary, InlineTask(present));
   }
 }
 
+void TxnExecutor::OnMasterPresent(TxnId id, NodeId node) {
+  Active* a = Find(id);
+  if (a == nullptr) return;
+  MasterState* m = MasterFor(*a, node);
+  if (--m->presence_pending > 0) return;
+  m->local_present = true;
+  CheckMasterReady(*a, *m);
+}
+
 void TxnExecutor::StartParticipant(Active& a, NodeId node) {
+  const TxnId id = a.plan.txn.id;
   if (NodeDead(node)) {  // died between grant and record presence
-    const TxnId stall_id = a.plan.txn.id;
-    FreezeStalled(a, node, [this, stall_id, node]() {
-      auto it = actives_.find(stall_id);
-      if (it == actives_.end()) return;
-      StartParticipant(*it->second, node);
+    FreezeStalled(a, node, [this, id, node]() {
+      if (Active* act = Find(id)) StartParticipant(*act, node);
     });
     return;
   }
   // Local storage reads for everything this node ships, on a worker.
   NodeState* state = StateFor(a, node);
   size_t ops = 0;
-  for (const Access& acc : state->owned) {
+  for (const Access& acc : Owned(a, *state)) {
     const bool involved =
         (acc.new_owner != kInvalidNode && acc.new_owner != node) ||
         (acc.ship_to_master &&
          (a.masters.size() > 1 || a.masters[0].node != node));
     if (involved) ++ops;
   }
-  const TxnId id = a.plan.txn.id;
   NodeAt(node).workers().Submit(
-      costs_->storage_op_us * ops, [this, id, node]() {
-        auto it = actives_.find(id);
-        if (it == actives_.end()) return;
-        FinishParticipant(*it->second, node);
-      });
+      costs_->storage_op_us * ops, InlineTask([this, id, node]() {
+        if (Active* act = Find(id)) FinishParticipant(*act, node);
+      }));
 }
 
 void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
+  const TxnId id = a.plan.txn.id;
   if (NodeDead(node)) {  // died while the send phase ran on a worker
     // Nothing shipped yet (extraction happens below, all at once), so the
     // resumed machine re-runs the whole send phase safely.
-    const TxnId stall_id = a.plan.txn.id;
-    FreezeStalled(a, node, [this, stall_id, node]() {
-      auto it = actives_.find(stall_id);
-      if (it == actives_.end()) return;
-      FinishParticipant(*it->second, node);
+    FreezeStalled(a, node, [this, id, node]() {
+      if (Active* act = Find(id)) FinishParticipant(*act, node);
     });
     return;
   }
   NodeState* state = StateFor(a, node);
   Node& src = NodeAt(node);
 
-  // Build one message per destination: read copies to masters, record
-  // moves to their new owners. Copies are snapshotted before any move
-  // extracts the record.
-  struct Shipment {
-    std::vector<std::pair<Key, storage::Record>> moves;
-    uint64_t bytes = 0;
-    bool to_master = false;
+  // Build one message per destination, in destination order: read copies
+  // to masters, record moves to their new owners. Copies are snapshotted
+  // before any move extracts the record.
+  Borrowed<Shipment> shipments(per_node_[static_cast<size_t>(node)].shipments);
+  auto shipment_to = [&shipments](NodeId dest) -> Shipment& {
+    auto it = std::lower_bound(
+        shipments->begin(), shipments->end(), dest,
+        [](const Shipment& s, NodeId d) { return s.dest < d; });
+    if (it == shipments->end() || it->dest != dest) {
+      it = shipments->insert(it, Shipment{});
+      it->dest = dest;
+    }
+    return *it;
   };
-  std::map<NodeId, Shipment> shipments;
 
-  for (const Access& acc : state->owned) {
+  for (const Access& acc : Owned(a, *state)) {
     const bool migrates =
         acc.new_owner != kInvalidNode && acc.new_owner != node;
     const bool migrates_to_master =
@@ -367,27 +414,26 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
     // messages).
     for (const auto& m : a.masters) {
       if (m.node == node) continue;
-      Shipment& s = shipments[m.node];
+      Shipment& s = shipment_to(m.node);
       s.bytes += costs_->record_bytes;
       s.to_master = true;
     }
   }
-  for (const Access& acc : state->owned) {
+  for (const Access& acc : Owned(a, *state)) {
     const bool migrates =
         acc.new_owner != kInvalidNode && acc.new_owner != node;
     if (!migrates) continue;
     auto rec = src.store().Extract(acc.key);
     assert(rec.has_value() && "migrating a record that is not present");
-    HERMES_TRACE(tracer_, obs::EventKind::kRecordExtract, node, a.plan.txn.id,
-                 acc.key, static_cast<uint32_t>(acc.new_owner));
-    Shipment& s = shipments[acc.new_owner];
+    HERMES_TRACE(tracer_, obs::EventKind::kRecordExtract, node, id, acc.key,
+                 static_cast<uint32_t>(acc.new_owner));
+    Shipment& s = shipment_to(acc.new_owner);
     s.moves.emplace_back(acc.key, *rec);
     s.bytes += costs_->record_bytes;
-    TrackInFlight(acc.key, node, acc.new_owner, a.plan.txn.id, *rec);
+    TrackInFlight(acc.key, node, acc.new_owner, id, *rec);
     if (acc.ship_to_master && IsMaster(a, acc.new_owner)) s.to_master = true;
   }
 
-  const TxnId id = a.plan.txn.id;
   // Regular transactions block on these shipments (foreground); chunk
   // migrations and provisioning markers move data in the background (bulk,
   // eligible for envelope coalescing on the wire substrate).
@@ -395,44 +441,42 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
                                     ? TrafficClass::kForeground
                                     : TrafficClass::kBulk;
   uint64_t migrated = 0;
-  for (auto& [dest, shipment] : shipments) {
+  for (Shipment& shipment : *shipments) {
     migrated += shipment.moves.size();
+    const NodeId dest = shipment.dest;
     net_->Send(node, dest, shipment.bytes, ship_cls,
-               [this, id, dest, moves = std::move(shipment.moves),
-                notify_master = shipment.to_master]() {
+               InlineTask([this, id, dest, moves = std::move(shipment.moves),
+                           notify_master = shipment.to_master]() {
                  for (const auto& [key, rec] : moves) {
                    DeliverRecord(dest, key, rec);
                  }
-                 auto it = actives_.find(id);
-                 if (it == actives_.end()) return;
-                 if (notify_master) {
-                   MasterState* m = MasterFor(*it->second, dest);
-                   if (m != nullptr) {
-                     assert(m->pending_messages > 0);
-                     --m->pending_messages;
-                     ++m->messages_received;
-                     CheckMasterReady(*it->second, *m);
-                   }
+                 Active* act = Find(id);
+                 if (act == nullptr || !notify_master) return;
+                 MasterState* m = MasterFor(*act, dest);
+                 if (m != nullptr) {
+                   assert(m->pending_messages > 0);
+                   --m->pending_messages;
+                   ++m->messages_received;
+                   CheckMasterReady(*act, *m);
                  }
-               });
+               }));
   }
   // Early release: participants that are not masters give their locks up
   // right after shipping (their part of the transaction is over). Lock
   // state is node-local, so the release and its grant chain stay on this
   // lane; the shared bookkeeping (metrics, participant counter, possible
   // completion) rides the epoch barrier at the same virtual time.
-  GrantScratch granted(src);
+  Borrowed<TxnId> granted(src.grant_scratch());
   if (!state->is_master) {
     src.locks().Release(id, granted.get());
   }
-  sim_->Defer([this, id, migrated]() {
+  sim_->Defer(InlineTask([this, id, migrated]() {
     if (migrated > 0) metrics_->RecordMigrations(sim_->Now(), migrated);
-    auto it = actives_.find(id);
-    if (it == actives_.end()) return;
-    Active& act = *it->second;
-    --act.participants_pending;
-    MaybeComplete(act);  // may destroy `act`
-  });
+    Active* act = Find(id);
+    if (act == nullptr) return;
+    --act->participants_pending;
+    MaybeComplete(*act);  // may retire `act`
+  }));
   ProcessGrants(node, *granted);
 }
 
@@ -446,10 +490,10 @@ void TxnExecutor::CheckMasterReady(Active& a, MasterState& m) {
     const TxnId id = a.plan.txn.id;
     const NodeId node = m.node;
     FreezeStalled(a, node, [this, id, node]() {
-      auto it = actives_.find(id);
-      if (it == actives_.end()) return;
-      MasterState* ms = MasterFor(*it->second, node);
-      if (ms != nullptr) CheckMasterReady(*it->second, *ms);
+      Active* act = Find(id);
+      if (act == nullptr) return;
+      MasterState* ms = MasterFor(*act, node);
+      if (ms != nullptr) CheckMasterReady(*act, *ms);
     });
     return;
   }
@@ -470,13 +514,13 @@ void TxnExecutor::ExecuteMaster(Active& a, MasterState& m) {
   // Execution cost: fixed logic + per-record logic + local storage ops.
   const bool single_master = a.masters.size() == 1;
   const NodeState* state = StateFor(a, m.node);
-  size_t local_ops = state->owned.size();
+  size_t local_ops = state->owned_count;
   for (Key k : a.write_keys) {
     (void)k;
     if (single_master) ++local_ops;  // every write applies here
   }
   if (!single_master) {
-    for (const Access& acc : state->owned) {
+    for (const Access& acc : Owned(a, *state)) {
       if (acc.is_write) ++local_ops;
     }
   }
@@ -487,13 +531,11 @@ void TxnExecutor::ExecuteMaster(Active& a, MasterState& m) {
   m.exec_us += cost;
   const TxnId id = a.plan.txn.id;
   const NodeId node = m.node;
-  NodeAt(node).workers().Submit(cost, [this, id, node]() {
-    auto it = actives_.find(id);
-    if (it == actives_.end()) return;
-    Active& act = *it->second;
-    MasterState* ms = MasterFor(act, node);
-    CommitMaster(act, *ms);
-  });
+  NodeAt(node).workers().Submit(cost, InlineTask([this, id, node]() {
+    Active* act = Find(id);
+    if (act == nullptr) return;
+    CommitMaster(*act, *MasterFor(*act, node));
+  }));
 }
 
 void TxnExecutor::CommitMaster(Active& a, MasterState& m) {
@@ -509,7 +551,7 @@ void TxnExecutor::CommitMaster(Active& a, MasterState& m) {
       if (!single_master) {
         const NodeState* state = StateFor(a, m.node);
         applies_here = false;
-        for (const Access& acc : state->owned) {
+        for (const Access& acc : Owned(a, *state)) {
           if (acc.key == k && acc.is_write) {
             applies_here = true;
             break;
@@ -545,7 +587,7 @@ void TxnExecutor::CommitMaster(Active& a, MasterState& m) {
       if (!single_master) {
         const NodeState* state = StateFor(a, m.node);
         applies_here = false;
-        for (const Access& acc : state->owned) {
+        for (const Access& acc : Owned(a, *state)) {
           if (acc.key == k && acc.is_write) {
             applies_here = true;
             break;
@@ -582,7 +624,7 @@ void TxnExecutor::CommitMaster(Active& a, MasterState& m) {
     if (fanout_work > 0) node.workers().Submit(fanout_work, [] {});
   }
 
-  GrantScratch granted(node);
+  Borrowed<TxnId> granted(node.grant_scratch());
   node.locks().Release(id, granted.get());
   m.done = true;
   const NodeId master_node = m.node;
@@ -590,26 +632,22 @@ void TxnExecutor::CommitMaster(Active& a, MasterState& m) {
   // the acknowledgment does cross-node work (return-shipment extracts),
   // so both run at the epoch barrier, at this same virtual time. The
   // grant chain is node-local and stays on this lane.
-  sim_->Defer([this, id]() { OnMasterDone(id); });
+  sim_->Defer(InlineTask([this, id]() { OnMasterDone(id); }));
   ProcessGrants(master_node, *granted);
 }
 
 void TxnExecutor::OnMasterDone(TxnId id) {
-  auto it = actives_.find(id);
-  if (it == actives_.end()) return;
-  Active& a = *it->second;
-  ++a.masters_done;
-  if (a.masters_done == static_cast<int>(a.masters.size())) {
-    Acknowledge(a);
-    MaybeComplete(a);  // may destroy `a`
+  Active* a = Find(id);
+  if (a == nullptr) return;
+  ++a->masters_done;
+  if (a->masters_done == static_cast<int>(a->masters.size())) {
+    Acknowledge(*a);
+    MaybeComplete(*a);  // may retire `a`
   }
 }
 
 void TxnExecutor::MaybeComplete(Active& a) {
-  if (a.acked && a.participants_pending == 0) {
-    frozen_ids_.erase(a.plan.txn.id);
-    actives_.erase(a.plan.txn.id);  // destroys `a`
-  }
+  if (a.acked && a.participants_pending == 0) RetireActive(a);
 }
 
 void TxnExecutor::Acknowledge(Active& a) {
@@ -620,7 +658,9 @@ void TxnExecutor::Acknowledge(Active& a) {
   // the receiver deserializes and re-inserts it — this is the overhead
   // data fusion avoids (§6.3).
   uint64_t returns = 0;
-  std::map<NodeId, uint64_t> send_work;
+  // Per-sender storage work, kept sorted by node.
+  std::vector<std::pair<NodeId, uint64_t>>& send_work = send_work_scratch_;
+  send_work.clear();
   for (const routing::ReturnShipment& r : a.plan.on_commit_returns) {
     auto rec = NodeAt(r.from).store().Extract(r.key);
     assert(rec.has_value() && "returning a record that is not present");
@@ -628,16 +668,22 @@ void TxnExecutor::Acknowledge(Active& a) {
                  a.plan.txn.id, r.key, static_cast<uint32_t>(r.to));
     TrackInFlight(r.key, r.from, r.to, a.plan.txn.id, *rec);
     ++returns;
-    send_work[r.from] += costs_->storage_op_us;
+    auto work = std::lower_bound(
+        send_work.begin(), send_work.end(), r.from,
+        [](const auto& entry, NodeId n) { return entry.first < n; });
+    if (work == send_work.end() || work->first != r.from) {
+      work = send_work.emplace(work, r.from, 0);
+    }
+    work->second += costs_->storage_op_us;
     net_->Send(r.from, r.to, costs_->record_bytes, TrafficClass::kBulk,
-               [this, r, record = *rec]() {
+               InlineTask([this, r, record = *rec]() {
                  if (!NodeDead(r.to)) {
                    NodeAt(r.to).workers().Submit(
                        costs_->storage_op_us + costs_->msg_processing_us,
                        [] {});
                  }
                  DeliverRecord(r.to, r.key, record);
-               });
+               }));
   }
   for (const auto& [node, work] : send_work) {
     NodeAt(node).workers().Submit(work, [] {});
@@ -694,9 +740,6 @@ void TxnExecutor::Acknowledge(Active& a) {
                         at, result.latency.storage_us);
   }
 
-  const bool regular = a.plan.txn.kind == TxnKind::kRegular;
-  CommitCallback cb = std::move(a.on_commit);
-  const SimTime submit = a.plan.txn.submit_time;
   if (result.aborted) {
     aborted_.Add();
   } else {
@@ -704,28 +747,35 @@ void TxnExecutor::Acknowledge(Active& a) {
   }
   a.acked = true;
 
-  // Client acknowledgment is one network hop away.
-  const SimTime ack_delay = costs_->net_latency_us;
-  sim_->Schedule(ack_delay, [this, result, cb = std::move(cb), submit,
-                             regular, master]() mutable {
-    result.latency.total_us = sim_->Now() > submit ? sim_->Now() - submit : 0;
-    const SimTime accounted =
-        result.latency.scheduling_us + result.latency.lock_wait_us +
-        result.latency.remote_wait_us + result.latency.storage_us;
-    result.latency.other_us =
-        result.latency.total_us > accounted
-            ? result.latency.total_us - accounted
-            : 0;
-    if (regular) {
-      metrics_->RecordCommit(sim_->Now(), result.latency, result.distributed,
-                             result.aborted);
-    }
-    HERMES_TRACE(tracer_,
-                 result.aborted ? obs::EventKind::kTxnAbort
-                                : obs::EventKind::kTxnCommit,
-                 master, result.id, kNoKey, result.latency.total_us);
-    if (cb) cb(result);
-  });
+  // Client acknowledgment is one network hop away. The ack is parked in a
+  // slot so the event itself stays inline.
+  const uint32_t slot = acks_.Park(PendingAck{
+      result, std::move(a.on_commit), a.plan.txn.submit_time,
+      a.plan.txn.kind == TxnKind::kRegular, master});
+  sim_->Schedule(costs_->net_latency_us,
+                 InlineTask([this, slot]() { DeliverAck(slot); }));
+}
+
+void TxnExecutor::DeliverAck(uint32_t slot) {
+  PendingAck ack = acks_.Take(slot);
+  TxnResult& result = ack.result;
+  const SimTime now = sim_->Now();
+  result.latency.total_us = now > ack.submit ? now - ack.submit : 0;
+  const SimTime accounted =
+      result.latency.scheduling_us + result.latency.lock_wait_us +
+      result.latency.remote_wait_us + result.latency.storage_us;
+  result.latency.other_us = result.latency.total_us > accounted
+                                ? result.latency.total_us - accounted
+                                : 0;
+  if (ack.regular) {
+    metrics_->RecordCommit(now, result.latency, result.distributed,
+                           result.aborted);
+  }
+  HERMES_TRACE(tracer_,
+               result.aborted ? obs::EventKind::kTxnAbort
+                              : obs::EventKind::kTxnCommit,
+               ack.master, result.id, kNoKey, result.latency.total_us);
+  if (ack.cb) ack.cb(result);
 }
 
 std::string TxnExecutor::DebugString() const {
@@ -737,7 +787,7 @@ std::string TxnExecutor::DebugString() const {
   for (const auto& [id, a] : actives_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
   for (TxnId id : ids) {
-    const auto& a = actives_.at(id);
+    const Active* a = *actives_.Find(id);
     std::snprintf(buf, sizeof(buf),
                   "txn %llu kind=%d attempt=%u%s%s:\n",
                   static_cast<unsigned long long>(id),
@@ -747,10 +797,10 @@ std::string TxnExecutor::DebugString() const {
     out += buf;
     for (const auto& [node, st] : a->nodes) {
       std::snprintf(buf, sizeof(buf),
-                    "  node %d granted=%d master=%d owned=%zu\n", node,
-                    st.granted, st.is_master, st.owned.size());
+                    "  node %d granted=%d master=%d owned=%u\n", node,
+                    st.granted, st.is_master, st.owned_count);
       out += buf;
-      for (const auto& acc : st.owned) {
+      for (const auto& acc : Owned(*a, st)) {
         if ((*nodes_)[node]->store().Contains(acc.key)) continue;
         NodeId actually = kInvalidNode;
         for (const auto& n : *nodes_) {
@@ -774,9 +824,9 @@ std::string TxnExecutor::DebugString() const {
   }
   // Sorted so the diagnostic is stable across runs and hash salts.
   std::vector<std::tuple<NodeId, Key, size_t>> waits;
-  for (size_t node = 0; node < presence_waiters_.size(); ++node) {
-    for (const auto& [key, waiters] : presence_waiters_[node]) {
-      waits.emplace_back(static_cast<NodeId>(node), key, waiters.size());
+  for (size_t node = 0; node < per_node_.size(); ++node) {
+    for (const auto& [key, count] : per_node_[node].presence.Snapshot()) {
+      waits.emplace_back(static_cast<NodeId>(node), key, count);
     }
   }
   std::sort(waits.begin(), waits.end());
@@ -802,38 +852,69 @@ std::string TxnExecutor::DebugString() const {
   return out;
 }
 
-TxnExecutor::PresenceShardMap& TxnExecutor::PresenceShard(NodeId node) {
-  const size_t idx = static_cast<size_t>(node);
-  if (idx >= presence_waiters_.size()) {
-    // Shard growth reallocates the vector, which would race lanes reading
-    // their own shards — it may only happen in exclusive context (nodes
-    // are provisioned there, before their lane runs any event).
-    assert(!sim_->in_lane_context() &&
-           "presence shards may only grow in exclusive context");
-    presence_waiters_.resize(nodes_->size() > idx + 1 ? nodes_->size()
-                                                      : idx + 1);
+sim::Task TxnExecutor::PresenceWaits::Wait(const storage::RecordStore& store,
+                                           std::span<const Key> keys,
+                                           sim::Task ready) {
+  uint32_t wait = kNone;
+  for (Key k : keys) {
+    if (store.Contains(k)) continue;
+    if (wait == kNone) wait = waits_.Park(Parked{0, std::move(ready)});
+    ++waits_[wait].remaining;
+    uint32_t w;
+    if (free_waiters_.empty()) {
+      w = static_cast<uint32_t>(waiters_.size());
+      waiters_.push_back(Waiter{wait, kNone});
+    } else {
+      w = free_waiters_.back();
+      free_waiters_.pop_back();
+      waiters_[w] = Waiter{wait, kNone};
+    }
+    if (Queue* q = queues_.Find(k)) {
+      waiters_[q->tail].next = w;
+      q->tail = w;
+    } else {
+      queues_.Insert(k) = Queue{w, w};
+    }
   }
-  return presence_waiters_[idx];
+  return ready;  // moved-from (empty) once parked
 }
 
-void TxnExecutor::WaitPresence(NodeId node, std::vector<Key> keys,
-                               std::function<void()> ready) {
-  std::vector<Key> missing;
-  for (Key k : keys) {
-    if (!NodeAt(node).store().Contains(k)) missing.push_back(k);
-  }
-  if (missing.empty()) {
+void TxnExecutor::PresenceWaits::Wake(Key key) {
+  const Queue* q = queues_.Find(key);
+  if (q == nullptr) return;
+  uint32_t w = q->head;
+  // Detach the list first: a continuation run below may register new
+  // waits on this shard (even on this key, if it moved the record away).
+  queues_.Erase(key);
+  while (w != kNone) {
+    const Waiter waiter = waiters_[w];
+    free_waiters_.push_back(w);
+    w = waiter.next;
+    if (--waits_[waiter.wait].remaining > 0) continue;
+    sim::Task ready = std::move(waits_.Take(waiter.wait).ready);
     ready();
-    return;
   }
-  auto remaining = std::make_shared<size_t>(missing.size());
-  auto shared_ready = std::make_shared<std::function<void()>>(std::move(ready));
-  PresenceShardMap& shard = PresenceShard(node);
-  for (Key k : missing) {
-    shard[k].push_back([remaining, shared_ready]() {
-      if (--*remaining == 0) (*shared_ready)();
-    });
+}
+
+std::vector<std::pair<Key, size_t>> TxnExecutor::PresenceWaits::Snapshot()
+    const {
+  std::vector<std::pair<Key, size_t>> out;
+  // detlint:allow(unordered-iter) diagnostic listing, sorted by the caller
+  for (const auto& [key, q] : queues_) {
+    size_t count = 0;
+    for (uint32_t w = q.head; w != kNone; w = waiters_[w].next) ++count;
+    out.emplace_back(key, count);
   }
+  return out;
+}
+
+void TxnExecutor::WaitPresence(NodeId node, std::span<const Key> keys,
+                               sim::Task ready) {
+  assert(static_cast<size_t>(node) < per_node_.size() &&
+         "node without executor state (EnsureNodes not called)");
+  sim::Task now = per_node_[static_cast<size_t>(node)].presence.Wait(
+      NodeAt(node).store(), keys, std::move(ready));
+  if (now) now();
 }
 
 void TxnExecutor::Freeze(Active& a) {
@@ -843,24 +924,23 @@ void TxnExecutor::Freeze(Active& a) {
   // the transaction may complete at the same barrier.
   const TxnId id = a.plan.txn.id;
   sim_->Defer([this, id]() {
-    auto it = actives_.find(id);
-    if (it == actives_.end()) return;
-    it->second->frozen = true;
+    Active* act = Find(id);
+    if (act == nullptr) return;
+    act->frozen = true;
     frozen_ids_.insert(id);
   });
 }
 
-void TxnExecutor::FreezeStalled(Active& a, NodeId node,
-                                std::function<void()> resume) {
+void TxnExecutor::FreezeStalled(Active& a, NodeId node, sim::Task resume) {
   // Same barrier discipline as Freeze(); additionally parks the abandoned
   // continuation under the dead node so ResumeStalled can re-drive it.
   const TxnId id = a.plan.txn.id;
   sim_->Defer([this, id, node, resume = std::move(resume)]() mutable {
-    auto it = actives_.find(id);
-    if (it == actives_.end()) return;
-    it->second->frozen = true;
+    Active* act = Find(id);
+    if (act == nullptr) return;
+    act->frozen = true;
     frozen_ids_.insert(id);
-    it->second->stalled[node].push_back(std::move(resume));
+    act->stalled[node].push_back(std::move(resume));
   });
 }
 
@@ -870,12 +950,12 @@ void TxnExecutor::ResumeStalled(NodeId node) {
   // while later ids still wait their turn.
   const std::vector<TxnId> frozen(frozen_ids_.begin(), frozen_ids_.end());
   for (TxnId id : frozen) {
-    auto it = actives_.find(id);
-    if (it == actives_.end()) {
+    Active* found = Find(id);
+    if (found == nullptr) {
       frozen_ids_.erase(id);
       continue;
     }
-    Active& a = *it->second;
+    Active& a = *found;
     // Only acknowledged transactions resume. Their writes are already
     // committed in serial order — what stalled is pure record shipment,
     // which lands correctly at any later time (destinations presence-wait
@@ -888,7 +968,7 @@ void TxnExecutor::ResumeStalled(NodeId node) {
     if (!a.acked) continue;
     auto sit = a.stalled.find(node);
     if (sit == a.stalled.end()) continue;
-    std::vector<std::function<void()>> thunks = std::move(sit->second);
+    std::vector<sim::Task> thunks = std::move(sit->second);
     a.stalled.erase(sit);
     if (a.stalled.empty()) {
       // No other dead gate holds this transaction; it either completes
@@ -898,7 +978,7 @@ void TxnExecutor::ResumeStalled(NodeId node) {
     }
     HERMES_TRACE(tracer_, obs::EventKind::kTxnResume, node, id, kNoKey,
                  thunks.size());
-    for (auto& t : thunks) t();  // may destroy the Active
+    for (auto& t : thunks) t();  // may retire the Active
   }
 }
 
@@ -927,7 +1007,8 @@ void TxnExecutor::StartReplicaInstall(Key key, NodeId source, NodeId holder,
   }
   if (from == kInvalidNode) return;
   const NodeId src = from;
-  WaitPresence(src, {key}, [this, key, src, holder, txn]() {
+  WaitPresence(src, std::span<const Key>(&key, 1), [this, key, src, holder,
+                                                    txn]() {
     const storage::Record* rec = NodeAt(src).store().Get(key);
     if (rec == nullptr) {
       // An earlier waiter in the same wake list (a migration's presence
@@ -971,11 +1052,11 @@ void TxnExecutor::TrackInFlight(Key key, NodeId from, NodeId to, TxnId txn,
   // The in-flight table is written only in exclusive context; extraction
   // on a node lane defers the bookkeeping to the barrier (same virtual
   // time — the record was already physically Extract()ed by the caller).
-  sim_->Defer([this, key, from, to, txn, record]() {
+  sim_->Defer(InlineTask([this, key, from, to, txn, record]() {
     assert(!inflight_records_.contains(key) &&
            "record extracted twice without an intervening delivery");
     inflight_records_[key] = InFlightRecord{from, to, txn, record};
-  });
+  }));
 }
 
 void TxnExecutor::DeliverRecord(NodeId node, Key key,
@@ -998,8 +1079,7 @@ void TxnExecutor::DeliverRecord(NodeId node, Key key,
                    key);
       // Freeze the carrying transaction: its shipment will never complete.
       const TxnId carrier = entry.txn;
-      auto at = actives_.find(carrier);
-      if (at != actives_.end()) Freeze(*at->second);
+      if (Active* at = Find(carrier)) Freeze(*at);
       const SimTime timeout =
           degraded_ != nullptr ? degraded_->reclaim_timeout_us : 2000;
       sim_->Schedule(timeout,
@@ -1017,14 +1097,9 @@ void TxnExecutor::DeliverRecord(NodeId node, Key key,
                                                        : kInvalidTxn,
                     key);
   }
-  sim_->Defer([this, key]() { inflight_records_.erase(key); });
+  sim_->Defer(InlineTask([this, key]() { inflight_records_.erase(key); }));
   NodeAt(node).store().Insert(key, record);
-  PresenceShardMap& shard = PresenceShard(node);
-  auto it = shard.find(key);
-  if (it == shard.end()) return;
-  std::vector<std::function<void()>> waiters = std::move(it->second);
-  shard.erase(it);
-  for (auto& w : waiters) w();
+  per_node_[static_cast<size_t>(node)].presence.Wake(key);
 }
 
 void TxnExecutor::ReclaimSuppressed(Key key, TxnId carrier) {
@@ -1108,10 +1183,9 @@ void TxnExecutor::WatchdogSweep() {
   // instead of the salted actives_ map keeps the abort order total.
   const std::vector<TxnId> doomed(frozen_ids_.begin(), frozen_ids_.end());
   for (TxnId id : doomed) {
-    auto it = actives_.find(id);
-    if (it == actives_.end()) continue;
-    if (it->second->acked) continue;
-    AbortActive(*it->second);
+    Active* a = Find(id);
+    if (a == nullptr || a->acked) continue;
+    AbortActive(*a);
   }
   if (membership_ != nullptr && membership_->any_down()) {
     const SimTime period =
@@ -1163,7 +1237,7 @@ void TxnExecutor::AbortActive(Active& a) {
       displaced_[k] = acc.owner;
     }
   }
-  stranded = SortedUnique(std::move(stranded));
+  SortUnique(&stranded);
   // A stranded key breaks the record's custody chain: the rejoin reship
   // jumps the record to its final ownership position, so every already-
   // dispatched transaction expecting it at an intermediate live waypoint
@@ -1188,23 +1262,22 @@ void TxnExecutor::AbortActive(Active& a) {
       }
     }
     std::sort(dependents.begin(), dependents.end());
-    for (TxnId d : dependents) Freeze(*actives_.at(d));
+    for (TxnId d : dependents) Freeze(*Find(d));
   }
   // Release locks (granted or queued) at every involved node; grants are
   // processed only after the transaction is gone.
   std::vector<std::pair<NodeId, std::vector<TxnId>>> grants;
   for (auto& [node, state] : a.nodes) {
     (void)state;
-    GrantScratch g(NodeAt(node));
+    Borrowed<TxnId> g(NodeAt(node).grant_scratch());
     NodeAt(node).locks().Release(id, g.get());
-    if (!g.get()->empty()) grants.emplace_back(node, *g);
+    if (!g->empty()) grants.emplace_back(node, *g);
   }
   aborted_.Add();
   if (ledger_ != nullptr) ledger_->RecordWatchdogAbort();
   TxnRequest txn = a.plan.txn;
   CommitCallback cb = std::move(a.on_commit);
-  frozen_ids_.erase(id);
-  actives_.erase(id);  // destroys `a`
+  RetireActive(a);
   for (auto& [node, g] : grants) ProcessGrants(node, g);
   if (degraded_abort_) {
     degraded_abort_(std::move(txn), std::move(cb), std::move(stranded));

@@ -1,16 +1,18 @@
 #ifndef HERMES_ENGINE_EXECUTOR_H_
 #define HERMES_ENGINE_EXECUTOR_H_
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/config.h"
-#include "common/hash.h"
+#include "common/flat_table.h"
 #include "common/membership.h"
 #include "common/types.h"
 #include "engine/degraded.h"
@@ -23,6 +25,7 @@
 #include "routing/router.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "sim/task.h"
 #include "txn/transaction.h"
 
 namespace hermes::engine {
@@ -141,6 +144,14 @@ class TxnExecutor {
   /// Number of transactions currently in flight.
   size_t inflight() const { return actives_.size(); }
 
+  /// Grows the per-node state (presence waits, scratch buffers) to
+  /// `num_nodes` nodes. The cluster calls it wherever it creates nodes,
+  /// in exclusive context, before the new node's lane runs any event;
+  /// Dispatch also catches up with nodes added behind the executor's back
+  /// (standalone executors in tests).
+  // detlint:runs(exclusive)
+  void EnsureNodes(int num_nodes);
+
   uint64_t committed() const { return committed_.value(); }
   uint64_t aborted() const { return aborted_.value(); }
 
@@ -181,7 +192,10 @@ class TxnExecutor {
 
  private:
   struct NodeState {
-    std::vector<routing::Access> owned;  ///< accesses with owner == node
+    /// This node's accesses (owner == node) are Active::owned
+    /// [owned_begin, owned_begin + owned_count), in plan order.
+    uint32_t owned_begin = 0;
+    uint32_t owned_count = 0;
     bool is_master = false;
     bool granted = false;
     SimTime acquire_time = 0;
@@ -191,6 +205,9 @@ class TxnExecutor {
     NodeId node;
     int pending_messages = 0;   ///< remote shipments not yet arrived
     int messages_received = 0;  ///< shipments processed (costs CPU)
+    /// Presence waits still open before local_present flips: the primary
+    /// store, plus lease copies when the master has replica reads.
+    int presence_pending = 0;
     bool local_present = false;
     bool started = false;
     bool done = false;
@@ -201,11 +218,17 @@ class TxnExecutor {
     SimTime remote_wait_us = 0;
     SimTime exec_us = 0;
   };
+  /// Per-transaction state. Records are pooled: a finished transaction's
+  /// record is Recycle()d and reused with its vectors' capacity, so a
+  /// warmed-up executor allocates no per-transaction state of its own.
   struct Active {
     routing::RoutedTxn plan;
     CommitCallback on_commit;
     SimTime dispatch_time = 0;
     std::vector<std::pair<NodeId, NodeState>> nodes;  // sorted by node id
+    /// plan.accesses grouped by owner node (stable within a node); each
+    /// NodeState indexes its run.
+    std::vector<routing::Access> owned;
     std::vector<MasterState> masters;
     std::vector<Key> write_keys;  ///< dedup of plan.txn.write_set
     int masters_done = 0;
@@ -223,8 +246,91 @@ class TxnExecutor {
     /// sorted txn order when that node rejoins. A node can stall both the
     /// participant and the master machine, hence the vector (insertion
     /// order — the deterministic event order the freezes fired in).
-    std::map<NodeId, std::vector<std::function<void()>>> stalled;
+    std::map<NodeId, std::vector<sim::Task>> stalled;
+
+    /// Clears every field for reuse, keeping vector capacity.
+    void Recycle();
   };
+
+  /// One parked client acknowledgment: the ack event captures only its
+  /// slot, so it stays inline.
+  struct PendingAck {
+    TxnResult result;
+    CommitCallback cb;
+    SimTime submit = 0;
+    bool regular = false;
+    NodeId master = kInvalidNode;
+  };
+
+  /// Presence waits of one node: which parked continuations wait on which
+  /// absent keys. A continuation fires once every key it waits on has
+  /// arrived; each key's waiters wake in registration order.
+  class PresenceWaits {
+   public:
+    /// Parks `ready` until every key of `keys` missing from `store` has
+    /// arrived; returns `ready` unparked (and non-empty) when none is
+    /// missing, so the caller runs it.
+    sim::Task Wait(const storage::RecordStore& store,
+                   std::span<const Key> keys, sim::Task ready);
+    /// Wakes `key`'s waiters after it arrived; runs each continuation
+    /// whose last key this was.
+    void Wake(Key key);
+    /// (key, waiter count) of every waited key, unsorted.
+    std::vector<std::pair<Key, size_t>> Snapshot() const;
+
+   private:
+    static constexpr uint32_t kNone = UINT32_MAX;
+    struct Waiter {
+      uint32_t wait;  ///< slot in waits_
+      uint32_t next;  ///< next waiter on the same key (kNone at the tail)
+    };
+    struct Queue {
+      uint32_t head;
+      uint32_t tail;
+    };
+    struct Parked {
+      uint32_t remaining = 0;  ///< keys still absent
+      sim::Task ready;
+    };
+    FlatTable<Queue> queues_;  ///< key -> FIFO of waiters
+    std::vector<Waiter> waiters_;
+    std::vector<uint32_t> free_waiters_;
+    sim::SlotPool<Parked> waits_;
+  };
+
+  /// One outgoing message of a participant's send phase.
+  struct Shipment {
+    NodeId dest = kInvalidNode;
+    std::vector<std::pair<Key, storage::Record>> moves;
+    uint64_t bytes = 0;
+    bool to_master = false;
+  };
+
+  /// Executor state owned by one node: touched only by that node's lane
+  /// or the exclusive slice, so concurrent lanes never share it. The
+  /// vectors are scratch reused across transactions.
+  struct NodeLocal {
+    PresenceWaits presence;
+    std::vector<Key> keys;
+    std::vector<Key> more_keys;
+    std::vector<Shipment> shipments;
+  };
+
+  /// Live transaction by id (nullptr once completed or aborted).
+  Active* Find(TxnId id) {
+    Active** a = actives_.Find(id);
+    return a == nullptr ? nullptr : *a;
+  }
+  /// Takes a record from the pool (exclusive context).
+  Active& AcquireActive();
+  /// Unindexes a finished transaction and returns its record to the pool
+  /// (exclusive context). Continuations still pending for it find nothing.
+  void RetireActive(Active& a);
+  /// This node's run of a.owned.
+  static std::span<const routing::Access> Owned(const Active& a,
+                                                const NodeState& state) {
+    return {a.owned.data() + state.owned_begin, state.owned_count};
+  }
 
   Node& NodeAt(NodeId id) { return *(*nodes_)[id]; }
   NodeState* StateFor(Active& a, NodeId node);
@@ -236,6 +342,9 @@ class TxnExecutor {
                     NodeId node) const;
 
   void OnNodeGranted(Active& a, NodeId node);
+  /// One presence wait of master `node` completed; flips local_present
+  /// once all have.
+  void OnMasterPresent(TxnId id, NodeId node);
   void StartParticipant(Active& a, NodeId node);
   void FinishParticipant(Active& a, NodeId node);
   void CheckMasterReady(Active& a, MasterState& m);
@@ -251,7 +360,11 @@ class TxnExecutor {
   /// master has committed. Exclusive context only.
   // detlint:requires(exclusive)
   void Acknowledge(Active& a);
-  /// Destroys the transaction state once masters and participants are all
+  /// The client ack one network hop after Acknowledge: records the
+  /// commit and runs the client callback. Control lane only.
+  // detlint:runs(exclusive)
+  void DeliverAck(uint32_t slot);
+  /// Retires the transaction state once masters and participants are all
   /// done. Touches cross-node per-txn state, so exclusive context only.
   // detlint:requires(exclusive)
   void MaybeComplete(Active& a);
@@ -267,7 +380,7 @@ class TxnExecutor {
   /// Freeze() plus a resume continuation: the gate that fired records
   /// exactly where the per-node machine stalled so ResumeStalled can
   /// re-drive it at rejoin. Defers like Freeze().
-  void FreezeStalled(Active& a, NodeId node, std::function<void()> resume);
+  void FreezeStalled(Active& a, NodeId node, sim::Task resume);
   /// Re-drives every machine stalled at `node`'s dead gates, in sorted
   /// txn order, and unfreezes transactions with no remaining stalls.
   /// Touches cross-node per-txn state — exclusive context only (runs
@@ -309,8 +422,8 @@ class TxnExecutor {
 
   /// Runs `ready` once every key in `keys` is physically present in
   /// `node`'s store (immediately if they already are).
-  void WaitPresence(NodeId node, std::vector<Key> keys,
-                    std::function<void()> ready);
+  void WaitPresence(NodeId node, std::span<const Key> keys,
+                    sim::Task ready);
   /// Inserts an arriving record and wakes presence waiters.
   void DeliverRecord(NodeId node, Key key, const storage::Record& record);
 
@@ -324,19 +437,25 @@ class TxnExecutor {
 
   /// Transaction table. Structural writes (insert on dispatch, erase on
   /// completion/abort) happen only in exclusive context; node lanes do
-  /// read-only find()s, which is safe while the barrier serializes every
+  /// read-only Find()s, which is safe while the barrier serializes every
   /// mutation.
-  HashMap<TxnId, std::unique_ptr<Active>> actives_;
-  /// One node's lock requests while Dispatch enqueues them (exclusive
-  /// context only); reused so dispatch allocates no request lists.
+  FlatTable<Active*> actives_;
+  /// Owns every Active record ever made; spare_ lists the idle ones.
+  std::vector<std::unique_ptr<Active>> active_pool_;
+  std::vector<Active*> spare_;
+  /// Exclusive-context scratch: one node's lock requests while Dispatch
+  /// enqueues them, Dispatch's shipment targets, and Acknowledge's
+  /// per-node send work. Reused, so none allocates per transaction.
   std::vector<storage::LockRequest> lock_scratch_;
+  std::vector<NodeId> targets_scratch_;
+  std::vector<std::pair<NodeId, uint64_t>> send_work_scratch_;
+  /// Client acks in flight (exclusive context only).
+  sim::SlotPool<PendingAck> acks_;
 
-  using PresenceShardMap = HashMap<Key, std::vector<std::function<void()>>>;
-  /// Presence waiters, sharded per node: shard `n` is touched only by node
-  /// n's lane (or the exclusive slice), so concurrent deliveries on
-  /// different lanes never share a map. Grown in exclusive context only.
-  std::vector<PresenceShardMap> presence_waiters_;
-  PresenceShardMap& PresenceShard(NodeId node);
+  /// Per-node state, indexed by node id; sized by EnsureNodes in
+  /// exclusive context only (growth would race lanes reading their own
+  /// entry).
+  std::vector<NodeLocal> per_node_;
 
   /// Written only in exclusive context (extract/delivery bookkeeping rides
   /// the epoch barrier); lanes may read it (trace carrier lookups).

@@ -1,7 +1,6 @@
 #include "engine/scheduler.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 namespace hermes::engine {
@@ -102,12 +101,10 @@ void Scheduler::Process(Batch&& batch, bool log) {
                     batch.id, static_cast<Key>(-1), start,
                     dispatch_at - start, batch.txns.size());
 
-  auto shared_plan =
-      std::make_shared<routing::RoutePlan>(std::move(plan));
-  sim_->ScheduleAt(dispatch_at, [this, shared_plan]() {
+  sim_->ScheduleAt(dispatch_at, [this, plan = std::move(plan)]() mutable {
     // The plan is dead after this one-shot event: each routed txn moves
     // into its executor state once the observer has seen it.
-    for (routing::RoutedTxn& rt : shared_plan->txns) {
+    for (routing::RoutedTxn& rt : plan.txns) {
       if (observer_) observer_(rt);
       TxnExecutor::CommitCallback cb = resolver_(rt.txn);
       executor_->Dispatch(std::move(rt), std::move(cb));

@@ -37,6 +37,11 @@ FaultInjector::FaultInjector(engine::Cluster* cluster, const FaultPlan& plan,
     assert(e.kind != FaultEvent::Kind::kFailover &&
            "failover events need the ReplicaGroup constructor");
   }
+  // The rebuild baseline. Requires the cluster Load()ed and not yet
+  // running (TakeCheckpoint asserts quiescence), so it is taken before
+  // this constructor schedules anything (the gray-window detector arming
+  // below).
+  checkpoint_ = cluster_->TakeCheckpoint();
   if (HasLinkChaos(plan_.link)) {
     chaos_.push_back(std::make_unique<LinkChaos>(plan_.link, plan_.seed));
     chaos_.back()->Install(&cluster_->network());
@@ -81,9 +86,6 @@ FaultInjector::FaultInjector(engine::Cluster* cluster, const FaultPlan& plan,
           [cluster, until] { cluster->ArmDetector(until); });
     }
   }
-  // The rebuild baseline. Requires the cluster Load()ed and not yet
-  // running (TakeCheckpoint asserts quiescence).
-  checkpoint_ = cluster_->TakeCheckpoint();
 }
 
 FaultInjector::FaultInjector(engine::ReplicaGroup* group,

@@ -83,7 +83,7 @@ void Wire::GrowLinks(int num_nodes) {
   const size_t n = static_cast<size_t>(num_nodes);
   if (links_.size() >= n) return;
   for (auto& row : links_) row.resize(n);
-  links_.resize(n, std::vector<Link>(n));
+  while (links_.size() < n) links_.emplace_back(n);
   envelopes_sent_.resize(n, 0);
   coalesced_messages_.resize(n, 0);
   credit_stalls_.resize(n, 0);
@@ -113,7 +113,7 @@ bool Wire::CanAdmit(const Link& link, uint64_t wire_bytes) const {
 }
 
 void Wire::Send(NodeId src, NodeId dst, uint64_t payload_bytes,
-                TrafficClass cls, std::function<void()> on_delivery) {
+                TrafficClass cls, sim::Task on_delivery) {
   assert(src >= 0 && src < static_cast<NodeId>(links_.size()));
   assert(dst >= 0 && dst < static_cast<NodeId>(links_.size()));
   // Link state is row `src`: only that node's lane (or the exclusive
@@ -147,7 +147,7 @@ void Wire::Send(NodeId src, NodeId dst, uint64_t payload_bytes,
 }
 
 void Wire::AppendEnvelope(NodeId src, NodeId dst, uint64_t payload_bytes,
-                          std::function<void()> on_delivery) {
+                          sim::Task on_delivery) {
   Link& link = links_[src][dst];
   if (!link.env_open) {
     link.env_open = true;

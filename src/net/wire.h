@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "common/config.h"
@@ -83,7 +82,7 @@ class Wire {
   /// Network's holding pen; the queue was already flushed into the pen by
   /// OnLinkCut, so per-link FIFO order is preserved end-to-end).
   void Send(NodeId src, NodeId dst, uint64_t payload_bytes, TrafficClass cls,
-            std::function<void()> on_delivery);
+            sim::Task on_delivery);
 
   /// Flushes the link's open envelope and drains its transmit queue into
   /// the underlying Network in FIFO order. Called right after
@@ -129,7 +128,7 @@ class Wire {
     uint64_t payload_bytes = 0;
     SimTime enqueued = 0;
     /// Delivery callbacks, run in append order on the destination lane.
-    std::vector<std::function<void()>> cbs;
+    std::vector<sim::Task> cbs;
   };
 
   /// Per-directed-link state. links_[src][dst]: row `src` is owned by
@@ -151,7 +150,7 @@ class Wire {
     /// Generation counter guarding the window-flush timer: flushing or
     /// re-opening bumps it, so a stale timer finds a mismatch and no-ops.
     uint64_t env_gen = 0;
-    std::vector<std::function<void()>> env_cbs;
+    std::vector<sim::Task> env_cbs;
   };
 
   static uint64_t Sum(const std::vector<uint64_t>& row);
@@ -166,7 +165,7 @@ class Wire {
   /// arming the window-flush timer if needed; sealing early on the size
   /// cap). Runs on src's lane or exclusively.
   void AppendEnvelope(NodeId src, NodeId dst, uint64_t payload_bytes,
-                      std::function<void()> on_delivery);
+                      sim::Task on_delivery);
   /// Seals the open envelope (if any) onto the transmit queue.
   void FlushEnvelope(NodeId src, NodeId dst);
   /// Arms the transmit timer if the queue is non-empty and none is armed.
@@ -184,7 +183,9 @@ class Wire {
   sim::Network* net_;
   const CostModel* costs_;
   const NetConfig* config_;
-  std::vector<std::vector<Link>> links_;
+  /// Deques: growing them never relocates a Link (its transmit deque has
+  /// no non-throwing move, and Tasks cannot be copied).
+  std::deque<std::deque<Link>> links_;
   /// Per-source counter rows (row `n` written only by node n's lane or
   /// the exclusive slice; totals summed on read).
   std::vector<uint64_t> envelopes_sent_;

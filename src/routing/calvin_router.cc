@@ -1,9 +1,6 @@
 #include "routing/calvin_router.h"
 
 #include <algorithm>
-#include <map>
-
-#include "common/hash.h"
 
 namespace hermes::routing {
 
@@ -39,29 +36,31 @@ RoutedTxn CalvinRouter::RouteOne(const TxnRequest& txn) {
   // the transaction logic (Calvin's deterministic execution runs the code
   // on all participants; each applies only its local writes). This is the
   // multi-master scheme's resource cost the paper contrasts with
-  // single-master routing.
-  const auto merged = MergedAccessSet(txn);
-  std::map<NodeId, int> owners;
-  for (const auto& [k, is_write] : merged) {
+  // single-master routing. Each access's owner is looked up once.
+  MergedAccessSetInto(txn, &merged_);
+  owners_.clear();
+  for (const auto& [k, is_write] : merged_) {
     (void)is_write;
-    ++owners[OwnerOf(k)];
+    owners_.push_back(OwnerOf(k));
   }
-  rt.masters.reserve(owners.size());
-  for (const auto& [node, count] : owners) {
-    (void)count;
-    rt.masters.push_back(node);
-  }
+  rt.masters = owners_;
+  std::sort(rt.masters.begin(), rt.masters.end());
+  rt.masters.erase(std::unique(rt.masters.begin(), rt.masters.end()),
+                   rt.masters.end());
 
-  HashSet<Key> read_keys(txn.read_set.begin(), txn.read_set.end());
-  rt.accesses.reserve(merged.size());
-  for (const auto& [k, is_write] : merged) {
+  read_keys_.assign(txn.read_set.begin(), txn.read_set.end());
+  std::sort(read_keys_.begin(), read_keys_.end());
+  rt.accesses.reserve(merged_.size());
+  for (size_t i = 0; i < merged_.size(); ++i) {
     Access a;
-    a.key = k;
-    a.owner = OwnerOf(k);
-    a.is_write = is_write;
+    a.key = merged_[i].first;
+    a.owner = owners_[i];
+    a.is_write = merged_[i].second;
     // A record is shipped iff some other master needs its value for the
     // transaction logic (blind writes ship nothing).
-    a.ship_to_master = read_keys.contains(k) && rt.masters.size() > 1;
+    a.ship_to_master =
+        rt.masters.size() > 1 &&
+        std::binary_search(read_keys_.begin(), read_keys_.end(), a.key);
     rt.accesses.push_back(a);
   }
   return rt;

@@ -2,6 +2,8 @@
 #define HERMES_ROUTING_CALVIN_ROUTER_H_
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "routing/router.h"
 
@@ -21,6 +23,12 @@ class CalvinRouter : public Router {
 
  private:
   RoutedTxn RouteOne(const TxnRequest& txn);
+
+  /// RouteOne scratch, reused across transactions: the merged access set,
+  /// each merged access's owner, and the sorted read set.
+  std::vector<std::pair<Key, bool>> merged_;
+  std::vector<NodeId> owners_;
+  std::vector<Key> read_keys_;
 };
 
 }  // namespace hermes::routing

@@ -43,7 +43,7 @@ void Network::EnsureCapacity(int num_nodes) {
   for (auto& row : cut_) row.resize(n, 0);
   cut_.resize(n, std::vector<uint8_t>(n, 0));
   for (auto& row : held_) row.resize(n);
-  held_.resize(n, std::vector<std::deque<HeldMessage>>(n));
+  while (held_.size() < n) held_.emplace_back(n);
 }
 
 bool Network::reachable(NodeId src, NodeId dst) const {
@@ -69,10 +69,9 @@ void Network::HealLink(NodeId src, NodeId dst) {
   // perturbation (draws were keyed by link_seq at Send) and re-measures
   // its wire time from the heal point; per-link arrival order can still
   // interleave by jitter, exactly as live traffic can.
-  std::deque<HeldMessage>& pen = held_[src][dst];
-  while (!pen.empty()) {
-    HeldMessage m = std::move(pen.front());
-    pen.pop_front();
+  std::vector<HeldMessage> pen = std::move(held_[src][dst]);
+  held_[src][dst].clear();
+  for (HeldMessage& m : pen) {
     ScheduleDelivery(src, dst, m.bytes, m.delivered, m.wire,
                      /*was_held=*/true, m.cls, std::move(m.cb));
   }
@@ -86,25 +85,56 @@ uint64_t Network::messages_held() const {
   return total;
 }
 
+namespace {
+
+// Receipt layout: src and dst in 16 bits each, then the traffic class,
+// the was-held flag, and the delivered-copy count in the top 23 bits.
+constexpr int kReceiptDstShift = 16;
+constexpr int kReceiptClassShift = 32;
+constexpr int kReceiptHeldShift = 40;
+constexpr int kReceiptCopiesShift = 41;
+constexpr uint64_t kReceiptNodeMask = 0xffff;
+
+}  // namespace
+
 void Network::ScheduleDelivery(NodeId src, NodeId dst, uint64_t bytes,
                                uint64_t delivered, SimTime wire, bool was_held,
-                               TrafficClass cls, std::function<void()> cb) {
+                               TrafficClass cls, Task cb) {
+  assert(static_cast<uint64_t>(src) <= kReceiptNodeMask &&
+         static_cast<uint64_t>(dst) <= kReceiptNodeMask &&
+         delivered < (uint64_t{1} << (64 - kReceiptCopiesShift)) &&
+         "delivery receipt field overflow");
+  const uint64_t receipt =
+      static_cast<uint64_t>(src) |
+      static_cast<uint64_t>(dst) << kReceiptDstShift |
+      static_cast<uint64_t>(cls) << kReceiptClassShift |
+      static_cast<uint64_t>(was_held) << kReceiptHeldShift |
+      delivered << kReceiptCopiesShift;
   sim_->ScheduleOnLane(
-      static_cast<int>(dst), wire,
-      [this, src, dst, bytes, delivered, was_held, cls, cb = std::move(cb)]() {
-        // A released message must never land under a still-live cut: the
-        // pen only drains on heal, so a nonzero count means a release
-        // raced a re-cut (the partition oracle asserts zero).
-        if (was_held && cut_[src][dst]) ++cut_deliveries_[dst];
-        bytes_received_[dst] += bytes * delivered;
-        messages_received_[dst] += delivered;
-        class_bytes_received_[static_cast<int>(cls)][dst] += bytes * delivered;
-        cb();
-      });
+      static_cast<int>(dst), wire, std::move(cb),
+      Prelude{&Network::ChargeDelivery, this, bytes * delivered, receipt});
+}
+
+void Network::ChargeDelivery(void* self, uint64_t bytes_delivered,
+                             uint64_t receipt) {
+  Network& net = *static_cast<Network*>(self);
+  const auto src = static_cast<NodeId>(receipt & kReceiptNodeMask);
+  const auto dst =
+      static_cast<NodeId>((receipt >> kReceiptDstShift) & kReceiptNodeMask);
+  const auto cls = static_cast<int>((receipt >> kReceiptClassShift) & 0xff);
+  const bool was_held = (receipt >> kReceiptHeldShift) & 1;
+  const uint64_t delivered = receipt >> kReceiptCopiesShift;
+  // A released message must never land under a still-live cut: the pen
+  // only drains on heal, so a nonzero count means a release raced a
+  // re-cut (the partition oracle asserts zero).
+  if (was_held && net.cut_[src][dst]) ++net.cut_deliveries_[dst];
+  net.bytes_received_[dst] += bytes_delivered;
+  net.messages_received_[dst] += delivered;
+  net.class_bytes_received_[cls][dst] += bytes_delivered;
 }
 
 void Network::Send(NodeId src, NodeId dst, uint64_t payload_bytes,
-                   std::function<void()> on_delivery, TrafficClass cls) {
+                   Task on_delivery, TrafficClass cls) {
   assert(src >= 0 && src < static_cast<NodeId>(bytes_sent_.size()));
   assert(dst >= 0 && dst < static_cast<NodeId>(bytes_sent_.size()));
   // Send-side counters are row `src`: only that node's lane (or the

@@ -2,7 +2,6 @@
 #define HERMES_SIM_NETWORK_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -65,8 +64,7 @@ class Network {
   /// the per-class byte/message counters (Fig. 8's foreground-vs-migration
   /// split): it never changes timing or ordering at this layer — the wire
   /// substrate (src/net/) schedules classes above this fabric.
-  void Send(NodeId src, NodeId dst, uint64_t payload_bytes,
-            std::function<void()> on_delivery,
+  void Send(NodeId src, NodeId dst, uint64_t payload_bytes, Task on_delivery,
             TrafficClass cls = TrafficClass::kForeground);
 
   /// Grows counters when nodes are added by dynamic provisioning.
@@ -159,13 +157,20 @@ class Network {
     uint64_t delivered = 0;  ///< copies to charge the receiver
     SimTime wire = 0;        ///< wire time, re-measured from the heal point
     TrafficClass cls = TrafficClass::kForeground;
-    std::function<void()> cb;
+    Task cb;
   };
 
   static uint64_t Sum(const std::vector<uint64_t>& row);
+  /// Schedules `cb` on `dst`'s lane after `wire`. The receive-side charge
+  /// rides the event node as a Prelude, so `cb` is scheduled unwrapped.
   void ScheduleDelivery(NodeId src, NodeId dst, uint64_t bytes,
                         uint64_t delivered, SimTime wire, bool was_held,
-                        TrafficClass cls, std::function<void()> cb);
+                        TrafficClass cls, Task cb);
+  /// Prelude body of a delivery: charges `dst`'s receive-side rows (it
+  /// runs on the destination lane) and checks the cut oracle. `receipt`
+  /// packs (src, dst, class, was_held, delivered copies).
+  static void ChargeDelivery(void* self, uint64_t bytes_delivered,
+                             uint64_t receipt);
 
   /// Every per-node counter row and per-link matrix, grown in one place so
   /// a new counter cannot be forgotten by one of the resize sites (they
@@ -204,7 +209,8 @@ class Network {
   int cut_links_ = 0;
   /// held_[src][dst]: FIFO holding pen. Row `src` is pushed by src's lane
   /// on Send and flushed by HealLink in exclusive context.
-  std::vector<std::vector<std::deque<HeldMessage>>> held_;
+  /// A pen only ever drains whole (HealLink), so a vector is its FIFO.
+  std::vector<std::vector<std::vector<HeldMessage>>> held_;
   std::vector<uint64_t> messages_held_total_;  ///< per-source row
   /// Charged by the delivery event (destination lane) when a held message
   /// lands under a still-live cut — must stay zero.

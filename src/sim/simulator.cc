@@ -59,21 +59,21 @@ void Simulator::EnsureLanes(int num_lanes) {
   }
 }
 
-void Simulator::Schedule(SimTime delay, std::function<void()> fn) {
+void Simulator::Schedule(SimTime delay, Task fn) {
   ScheduleOnLaneAt(current_lane(), Now() + delay, std::move(fn));
 }
 
-void Simulator::ScheduleAt(SimTime when, std::function<void()> fn) {
+void Simulator::ScheduleAt(SimTime when, Task fn) {
   ScheduleOnLaneAt(current_lane(), when, std::move(fn));
 }
 
-void Simulator::ScheduleOnLane(int lane, SimTime delay,
-                               std::function<void()> fn) {
-  ScheduleOnLaneAt(lane, Now() + delay, std::move(fn));
+void Simulator::ScheduleOnLane(int lane, SimTime delay, Task fn,
+                               Prelude pre) {
+  ScheduleOnLaneAt(lane, Now() + delay, std::move(fn), pre);
 }
 
-void Simulator::ScheduleOnLaneAt(int lane, SimTime when,
-                                 std::function<void()> fn) {
+void Simulator::ScheduleOnLaneAt(int lane, SimTime when, Task fn,
+                                 Prelude pre) {
   // Past times fire "now", where now is the caller's epoch-local clock:
   // under partitioned execution there is no meaningful global "now" to
   // clamp to while lanes run, and the executing event's time is the only
@@ -86,28 +86,28 @@ void Simulator::ScheduleOnLaneAt(int lane, SimTime when,
     if (lane == self) {
       // Same-lane work needs no barrier: the push order is the lane's own
       // program order.
-      lanes_[static_cast<size_t>(self)]->queue.Push(when, std::move(fn));
+      lanes_[static_cast<size_t>(self)]->queue.Push(when, std::move(fn), pre);
       return;
     }
     lanes_[static_cast<size_t>(self)]->staged.push_back(
-        StagedOp{false, lane, when, std::move(fn)});
+        StagedOp{false, lane, when, pre, std::move(fn)});
     return;
   }
-  PushDirect(lane, when, std::move(fn));
+  PushDirect(lane, when, std::move(fn), pre);
 }
 
-void Simulator::PushDirect(int lane, SimTime when, std::function<void()> fn) {
+void Simulator::PushDirect(int lane, SimTime when, Task fn, Prelude pre) {
   if (lane == kControlLane) {
-    control_.Push(when, std::move(fn));
+    control_.Push(when, std::move(fn), pre);
   } else {
-    lanes_[static_cast<size_t>(lane)]->queue.Push(when, std::move(fn));
+    lanes_[static_cast<size_t>(lane)]->queue.Push(when, std::move(fn), pre);
   }
 }
 
-void Simulator::Defer(std::function<void()> fn) {
+void Simulator::Defer(Task fn) {
   if (in_lane_context()) {
     lanes_[static_cast<size_t>(tls_ctx.lane)]->staged.push_back(
-        StagedOp{true, kControlLane, 0, std::move(fn)});
+        StagedOp{true, kControlLane, 0, Prelude{}, std::move(fn)});
     return;
   }
   fn();
@@ -126,7 +126,7 @@ void Simulator::ExecuteLane(int i, SimTime t) {
   while (!lane.queue.empty() && lane.queue.NextTime() == t) {
     EventQueue::Popped e = lane.queue.PopEntry();
     lane.popped_seqs.push_back(e.seq);
-    e.fn();
+    e();
   }
   tls_ctx = saved;
 }
@@ -154,7 +154,7 @@ void Simulator::RunLoop(SimTime deadline, bool run_all) {
       MixPop(t, kControlLane, e.seq);
       ++events_executed_;
       tls_ctx = ExecContext{this, kControlLane, t};
-      e.fn();
+      e();
       tls_ctx = entry_ctx;
     }
 
@@ -186,19 +186,20 @@ void Simulator::RunLoop(SimTime deadline, bool run_all) {
     }
     for (int i : active_lanes_) {
       // Effects run exclusively (and may push directly or Defer inline),
-      // so the staged vector cannot grow while we drain it.
-      std::vector<StagedOp> ops =
-          std::move(lanes_[static_cast<size_t>(i)]->staged);
-      lanes_[static_cast<size_t>(i)]->staged.clear();
+      // so no lane stages while we drain and the buffer is drained in
+      // place. clear() keeps each lane's capacity at its own high-water
+      // mark: a warmed-up barrier allocates nothing.
+      std::vector<StagedOp>& ops = lanes_[static_cast<size_t>(i)]->staged;
       for (StagedOp& op : ops) {
         if (op.is_effect) {
           tls_ctx = ExecContext{this, kControlLane, t};
           op.fn();
           tls_ctx = entry_ctx;
         } else {
-          PushDirect(op.lane, op.when, std::move(op.fn));
+          PushDirect(op.lane, op.when, std::move(op.fn), op.pre);
         }
       }
+      ops.clear();
     }
   }
   if (!run_all && now_ < deadline) now_ = deadline;

@@ -2,13 +2,13 @@
 #define HERMES_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/digest.h"
 #include "common/types.h"
 #include "sim/event_queue.h"
+#include "sim/task.h"
 
 namespace hermes::sim {
 
@@ -69,25 +69,26 @@ class Simulator {
 
   /// Schedules `fn` to run `delay` microseconds from now, on the lane the
   /// caller is executing on (the control lane outside any event).
-  void Schedule(SimTime delay, std::function<void()> fn);
+  void Schedule(SimTime delay, Task fn);
 
   /// Schedules `fn` at absolute time `when`; times in the past fire "now"
   /// — clamped to the caller's epoch-local clock (the queue never rewinds
   /// any lane's clock).
-  void ScheduleAt(SimTime when, std::function<void()> fn);
+  void ScheduleAt(SimTime when, Task fn);
 
   /// Schedules `fn` on a specific lane (kControlLane, or a node lane; out
   /// of range falls back to the control lane, so un-partitioned setups
-  /// degenerate to one queue).
-  void ScheduleOnLane(int lane, SimTime delay, std::function<void()> fn);
-  void ScheduleOnLaneAt(int lane, SimTime when, std::function<void()> fn);
+  /// degenerate to one queue). `pre` runs on that lane right before `fn`
+  /// (see Prelude; the network's receive-side charge).
+  void ScheduleOnLane(int lane, SimTime delay, Task fn, Prelude pre = {});
+  void ScheduleOnLaneAt(int lane, SimTime when, Task fn, Prelude pre = {});
 
   /// Runs `fn` in exclusive context: immediately when the caller already
   /// is exclusive (control slice, barrier, or outside a run), otherwise
   /// staged to this epoch's barrier. Lane code uses this for the few
   /// cross-node effects (shared bookkeeping, metrics) it must not apply
   /// while sibling lanes run.
-  void Defer(std::function<void()> fn);
+  void Defer(Task fn);
 
   /// Lane the calling thread is currently executing an event on, or
   /// kControlLane when exclusive.
@@ -120,7 +121,8 @@ class Simulator {
     bool is_effect;
     int lane;      // destination lane (pushes only)
     SimTime when;  // firing time (pushes only)
-    std::function<void()> fn;
+    Prelude pre;   // pushes only
+    Task fn;
   };
 
   /// A node lane: its event queue plus the per-epoch buffers its executor
@@ -137,7 +139,7 @@ class Simulator {
   /// Mixes one pop into the decision digest; lane kControlLane tags 0.
   void MixPop(SimTime when, int lane, uint64_t seq);
   /// Direct push into a lane queue (exclusive context only).
-  void PushDirect(int lane, SimTime when, std::function<void()> fn);
+  void PushDirect(int lane, SimTime when, Task fn, Prelude pre);
 
   EventQueue control_;
   std::vector<std::unique_ptr<Lane>> lanes_;

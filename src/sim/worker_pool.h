@@ -2,7 +2,6 @@
 #define HERMES_SIM_WORKER_POOL_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/types.h"
@@ -26,7 +25,7 @@ class WorkerPool {
 
   /// Runs `duration` of CPU work, then `done`. Returns the simulated time
   /// at which the job will start (for queue-wait accounting).
-  SimTime Submit(SimTime duration, std::function<void()> done);
+  SimTime Submit(SimTime duration, Task done);
 
   uint64_t busy_us() const { return busy_us_; }
   int num_workers() const { return static_cast<int>(busy_until_.size()); }

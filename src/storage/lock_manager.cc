@@ -7,79 +7,6 @@
 
 namespace hermes::storage {
 
-template <typename V>
-size_t LockManager::FlatTable<V>::Home(uint64_t id) const {
-  return static_cast<size_t>(detail::SaltAndFinalize(id)) &
-         (slots_.size() - 1);
-}
-
-template <typename V>
-size_t LockManager::FlatTable<V>::IndexOf(uint64_t id) const {
-  if (size_ == 0) return slots_.size();
-  const size_t mask = slots_.size() - 1;
-  for (size_t i = Home(id); slots_[i].used; i = (i + 1) & mask) {
-    if (slots_[i].id == id) return i;
-  }
-  return slots_.size();
-}
-
-template <typename V>
-V* LockManager::FlatTable<V>::Find(uint64_t id) {
-  const size_t i = IndexOf(id);
-  return i == slots_.size() ? nullptr : &slots_[i].value;
-}
-
-template <typename V>
-const V* LockManager::FlatTable<V>::Find(uint64_t id) const {
-  const size_t i = IndexOf(id);
-  return i == slots_.size() ? nullptr : &slots_[i].value;
-}
-
-template <typename V>
-V& LockManager::FlatTable<V>::Insert(uint64_t id) {
-  assert(IndexOf(id) == slots_.size() && "FlatTable::Insert of a present id");
-  if ((size_ + 1) * 2 > slots_.size()) Grow();
-  const size_t mask = slots_.size() - 1;
-  size_t i = Home(id);
-  while (slots_[i].used) i = (i + 1) & mask;
-  slots_[i] = Slot{id, V{}, true};
-  ++size_;
-  return slots_[i].value;
-}
-
-template <typename V>
-void LockManager::FlatTable<V>::Erase(uint64_t id) {
-  size_t hole = IndexOf(id);
-  assert(hole != slots_.size() && "FlatTable::Erase of an absent id");
-  // Backward shift: pull each later entry of the probe run into the hole
-  // unless its home lies cyclically in (hole, j], where it must stay.
-  const size_t mask = slots_.size() - 1;
-  for (size_t j = (hole + 1) & mask; slots_[j].used; j = (j + 1) & mask) {
-    const size_t home = Home(slots_[j].id);
-    if (((j - home) & mask) >= ((j - hole) & mask)) {
-      slots_[hole] = slots_[j];
-      hole = j;
-    }
-  }
-  slots_[hole].used = false;
-  --size_;
-}
-
-template <typename V>
-void LockManager::FlatTable<V>::Grow() {
-  std::vector<Slot> old = std::exchange(
-      slots_, std::vector<Slot>(slots_.empty() ? 16 : 2 * slots_.size()));
-  const size_t mask = slots_.size() - 1;
-  // Rehash only places entries; it decides nothing, so walking the old
-  // slots in (salted) order is harmless.
-  for (const Slot& s : old) {
-    if (!s.used) continue;
-    size_t i = Home(s.id);
-    while (slots_[i].used) i = (i + 1) & mask;
-    slots_[i] = s;
-  }
-}
-
 uint32_t LockManager::NewWaiter() {
   if (free_ != kNil) {
     const uint32_t w = free_;

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "common/types.h"
 
 namespace hermes::storage {
@@ -64,38 +65,6 @@ class LockManager {
  private:
   static constexpr uint32_t kNil = UINT32_MAX;
 
-  /// Open-addressing hash table from a 64-bit id to `V`: linear probing
-  /// from the salted home slot, backward-shift deletion (no tombstones),
-  /// capacity doubled at half load. Entries move on insert and erase, so
-  /// pointers returned by Find/Insert die at the next mutation.
-  template <typename V>
-  class FlatTable {
-   public:
-    V* Find(uint64_t id);
-    const V* Find(uint64_t id) const;
-    /// Inserts a value-initialized entry; `id` must be absent.
-    V& Insert(uint64_t id);
-    /// Removes the entry; `id` must be present.
-    void Erase(uint64_t id);
-    size_t size() const { return size_; }
-
-   private:
-    struct Slot {
-      uint64_t id;
-      V value;
-      bool used;
-    };
-    size_t Home(uint64_t id) const;
-    size_t IndexOf(uint64_t id) const;  ///< slots_.size() when absent
-    void Grow();
-
-    std::vector<Slot> slots_;
-    size_t size_ = 0;
-  };
-
-  /// One request in the slab: a node of its key's FIFO (doubly linked, so
-  /// a waiting txn leaves from mid-queue in O(1)) and of its txn's chain
-  /// (acquire order). Free waiters chain through `next_in_key`.
   struct Waiter {
     Key key;
     TxnId txn;

@@ -1,12 +1,17 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <queue>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/digest.h"
+#include "common/rng.h"
 
 namespace hermes::sim {
 namespace {
@@ -139,6 +144,68 @@ TEST(EventQueueTest, DigestRecordsPopOrder) {
   // of the actual firing order, not of the event set.
   const auto c = digest_of({10, 20, 30});
   EXPECT_NE(a.first, c.first);
+}
+
+// The slab recycles a popped event's slot for the next push, often while
+// that event is still firing. Pops must nonetheless follow (when, seq)
+// exactly: this drives random pushes, pops and nested pushes from inside
+// firing events, and checks every pop — time, sequence number and
+// payload — against a reference std::priority_queue of plain tuples.
+TEST(EventQueueTest, SlotReuseMatchesReferenceOrder) {
+  using Ref = std::tuple<SimTime, uint64_t, int>;  // (when, seq, payload)
+  EventQueue q;
+  std::priority_queue<Ref, std::vector<Ref>, std::greater<Ref>> ref;
+  Rng rng(17);
+  uint64_t seq = 0;
+  int next_payload = 0;
+  int fired_payload = -1;
+  SimTime now = 0;
+
+  std::function<void(SimTime)> push = [&](SimTime when) {
+    const int payload = next_payload++;
+    ref.emplace(when, seq++, payload);
+    // Every third event pushes a child when it fires (a nested push into
+    // the slab while the parent's slot is already free).
+    const bool spawns = payload % 3 == 0;
+    q.Push(when, [&, payload, spawns] {
+      fired_payload = payload;
+      if (spawns) push(now + rng.NextBounded(4));
+    });
+  };
+
+  size_t max_size = 0;
+  for (int step = 0; step < 20'000; ++step) {
+    if (rng.NextBounded(100) < 55) {
+      push(now + rng.NextBounded(8));
+    } else if (!q.empty()) {
+      ASSERT_FALSE(ref.empty());
+      const auto [when, ref_seq, payload] = ref.top();
+      ref.pop();
+      EventQueue::Popped e = q.PopEntry();
+      ASSERT_EQ(e.when, when);
+      ASSERT_EQ(e.seq, ref_seq);
+      now = e.when;
+      e();
+      ASSERT_EQ(fired_payload, payload);
+    }
+    max_size = std::max(max_size, q.size());
+    ASSERT_EQ(q.size(), ref.size());
+  }
+  while (!q.empty()) {
+    const auto [when, ref_seq, payload] = ref.top();
+    ref.pop();
+    EventQueue::Popped e = q.PopEntry();
+    ASSERT_EQ(e.when, when);
+    ASSERT_EQ(e.seq, ref_seq);
+    now = e.when;
+    e();
+    ASSERT_EQ(fired_payload, payload);
+  }
+  EXPECT_TRUE(ref.empty());
+  EXPECT_EQ(q.next_seq(), seq);
+  // Slots were recycled: the slab never grew past the peak backlog (+1
+  // for a child pushed while its parent's popped slot was free).
+  EXPECT_LE(q.slab_capacity(), max_size + 1);
 }
 
 }  // namespace
