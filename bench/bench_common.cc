@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 
@@ -40,17 +39,6 @@ const workload::SyntheticGoogleTrace& SharedTrace(int num_machines,
   return *it->second;
 }
 
-int ParseThreadsFlag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string prefix = "--threads=";
-    if (arg.rfind(prefix, 0) == 0) {
-      return std::max(0, std::atoi(arg.c_str() + prefix.size()));
-    }
-  }
-  return 0;
-}
-
 RunResult RunGoogleWorkload(engine::RouterKind kind, GoogleRunParams params) {
   ClusterConfig config;
   config.num_nodes = params.num_nodes;
@@ -59,7 +47,6 @@ RunResult RunGoogleWorkload(engine::RouterKind kind, GoogleRunParams params) {
   config.max_batch_size = params.max_batch;
   if (params.epoch_us > 0) config.epoch_us = params.epoch_us;
   config.seed = params.seed;
-  config.sim.threads = params.sim_threads;
   config.hermes.fusion_table_capacity = static_cast<size_t>(
       params.fusion_capacity_frac * static_cast<double>(params.num_records));
 
@@ -132,11 +119,11 @@ RunResult RunGoogleWorkload(engine::RouterKind kind, GoogleRunParams params) {
   }
   const net::Wire& wire = cluster.wire();
   result.wire_fg_delay_p50_us =
-      wire.MergedQueueDelay(TrafficClass::kForeground).Percentile(0.50);
+      wire.QueueDelay(TrafficClass::kForeground).Percentile(0.50);
   result.wire_fg_delay_p99_us =
-      wire.MergedQueueDelay(TrafficClass::kForeground).Percentile(0.99);
+      wire.QueueDelay(TrafficClass::kForeground).Percentile(0.99);
   result.wire_bulk_delay_p99_us =
-      wire.MergedQueueDelay(TrafficClass::kBulk).Percentile(0.99);
+      wire.QueueDelay(TrafficClass::kBulk).Percentile(0.99);
   result.wire_envelopes = wire.envelopes_sent();
   result.wire_coalesced = wire.coalesced_messages();
   result.wire_credit_stalls = wire.credit_stalls();

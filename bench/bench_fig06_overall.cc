@@ -51,15 +51,10 @@ std::unique_ptr<hermes::partition::PartitionMap> TrainSchism(
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const int threads = hermes::bench::ParseThreadsFlag(argc, argv);
-  auto base = [threads] {
-    GoogleRunParams params;
-    params.sim_threads = threads;
-    return params;
-  };
+int main() {
+  auto base = [] { return GoogleRunParams{}; };
   std::printf("Fig. 6 reproduction: overall throughput under the synthetic "
-              "Google workload (sim threads: %d)\n", threads);
+              "Google workload\n");
   const GoogleRunParams defaults;
   const double window_s = defaults.window_us / 1e6;
   const size_t n = defaults.windows;

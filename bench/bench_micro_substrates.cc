@@ -1,6 +1,6 @@
 // Microbenchmarks for the substrate data structures (google-benchmark):
 // conservative ordered lock manager, fusion table, Zipfian generators,
-// event queue, multi-lane simulator, and record store.
+// event queue, simulator, and record store.
 
 #include <memory>
 #include <vector>
@@ -147,33 +147,27 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 BENCHMARK(BM_EventQueuePushPop);
 
 /// Hold model on the full simulator: a fixed number of event chains stay
-/// in flight, and each firing reschedules its chain on a pseudo-random
-/// lane 1..1000 us ahead. With more than one lane most hops cross lanes,
-/// so they stage through the epoch barrier — the simulator's queue, lane
-/// and barrier machinery per event, with no engine work on top.
+/// in flight, and each firing reschedules its chain 1..1000 us ahead — the
+/// simulator's clock and queue per event, with no engine work on top.
 struct HoldChains {
   hermes::sim::Simulator* sim;
   uint64_t remaining;
   uint64_t state;
-  int lanes;
 
   void Fire() {
     if (remaining == 0) return;
     --remaining;
     state = hermes::Mix64(state);
-    const int lane = static_cast<int>(state % static_cast<uint64_t>(lanes));
     const hermes::SimTime delay = 1 + (state >> 32) % 1000;
-    sim->ScheduleOnLane(lane, delay, [this] { Fire(); });
+    sim->Schedule(delay, [this] { Fire(); });
   }
 };
 
 void BM_SimulatorHold(benchmark::State& state) {
-  const int lanes = static_cast<int>(state.range(0));
-  const auto depth = static_cast<uint64_t>(state.range(1));
+  const auto depth = static_cast<uint64_t>(state.range(0));
   constexpr uint64_t kEvents = 100'000;
   hermes::sim::Simulator sim;
-  sim.ConfigureLanes(lanes, /*threads=*/0);
-  HoldChains chains{&sim, 0, 1, lanes};
+  HoldChains chains{&sim, 0, 1};
   for (auto _ : state) {
     chains.remaining = kEvents;
     for (uint64_t i = 0; i < depth; ++i) chains.Fire();
@@ -181,10 +175,7 @@ void BM_SimulatorHold(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kEvents);
 }
-BENCHMARK(BM_SimulatorHold)
-    ->Args({1, 1'000})
-    ->Args({10, 1'000})
-    ->Args({10, 10'000});
+BENCHMARK(BM_SimulatorHold)->Arg(1'000)->Arg(10'000);
 
 void BM_RecordStoreApplyWrite(benchmark::State& state) {
   hermes::storage::RecordStore store;

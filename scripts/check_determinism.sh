@@ -1,253 +1,80 @@
 #!/usr/bin/env sh
 # Multi-salt determinism check, cross-process edition.
 #
-# The in-process determinism_perturbation_test already reruns the workload
-# under several SetHashSalt() values. This wrapper additionally proves the
-# HERMES_HASH_SALT *environment* path: it runs the test binary in separate
-# processes under distinct env salts and requires every DECISION_DIGEST it
-# prints — across all processes and all in-process salts — to be one value.
-# Any difference means some decision depends on hash iteration order.
+# The in-process tests already rerun their workloads under several
+# SetHashSalt() values. This wrapper additionally proves the
+# HERMES_HASH_SALT *environment* path: each profile below runs its test
+# binary in separate processes under distinct env salts, and every line
+# the binary prints under the profile's prefix — across all processes and
+# all in-process salts — must be one value. Any difference means some
+# decision depends on hash iteration order.
 #
-# The chaos profile does the same for a seeded fault plan (mid-run crash
-# + rejoin + link drop/duplicate/jitter): every CHAOS_PROFILE line —
-# decision digest, placement digest, state checksum, commit count, chaos
-# counters and recovery times — must be one value across the env salts.
-#
-# The degraded profile covers the kCrashNoStall path: the cluster keeps
-# sequencing through the outage, so the DEGRADED_PROFILE line additionally
-# folds in the retry-transcript digest and the park/retry/watchdog
-# counters — the full degraded decision history must be salt-invariant,
-# not just the end state.
-#
-# The partition profile covers the network-partition path: a seeded
-# plan cuts links (two-sided and one-way), runs a gray link, and lets
-# the heartbeat failure detector drive membership epochs; its
-# PARTITION_PROFILE line (digests, checksums, held/miss/suspect/restore
-# counters, retry digest) must be one value across salts x threads.
-#
-# The trace block does the same for the observability subsystem: every
-# TRACE_DIGEST line trace_determinism_test prints (the FNV-1a digest over
-# the full structured event stream) must be one value across the env
-# salts — the trace, like the decisions it observes, is a pure function
-# of (config, seeds).
+# The profiles:
+#   DECISION_DIGEST      plain workload (determinism_perturbation_test)
+#   CHAOS_PROFILE        seeded fault plan: mid-run crash + rejoin + link
+#                        drop/duplicate/jitter (digests, checksum, commits,
+#                        chaos counters, recovery times)
+#   DEGRADED_PROFILE     kCrashNoStall plan: the retry-transcript digest
+#                        and park/retry/watchdog counters, i.e. the full
+#                        degraded decision history, not just the end state
+#   TRACE_DIGEST         the FNV-1a digest over the structured trace stream
+#   REPLICATION_PROFILE  read-heavy leased workload with a crash/rejoin
+#                        lapsing every lease (digests, replica checksum,
+#                        lease counters)
+#   PARTITION_PROFILE    two-sided + one-way cuts, a gray link and the
+#                        heartbeat failure detector (digests, held/miss/
+#                        suspect/restore counters, retry digest)
+#   NET_PROFILE          net-enabled lifetime: bounded links, coalescing,
+#                        credit backpressure, AddNode and a cut/heal cycle
+#                        (digests, envelope/transmit/stall counters,
+#                        per-class queueing p99s)
 #
 # Usage: scripts/check_determinism.sh [build-dir]   (default: build)
 
 set -eu
 
 BUILD_DIR="${1:-build}"
-TEST_BIN="$BUILD_DIR/tests/determinism_perturbation_test"
-CHAOS_BIN="$BUILD_DIR/tests/chaos_property_test"
-TRACE_BIN="$BUILD_DIR/tests/trace_determinism_test"
-LEASE_BIN="$BUILD_DIR/tests/replica_lease_test"
-
-if [ ! -x "$TEST_BIN" ] || [ ! -x "$CHAOS_BIN" ] || [ ! -x "$TRACE_BIN" ] \
-    || [ ! -x "$LEASE_BIN" ]; then
-  echo "error: $TEST_BIN or $CHAOS_BIN not found — build first:" >&2
-  echo "  cmake -B $BUILD_DIR -G Ninja && cmake --build $BUILD_DIR" >&2
-  exit 2
-fi
 
 # Env salts for the separate processes. 0 is the unsalted default; the
-# others are arbitrary and distinct from the test's in-process constants.
+# others are arbitrary and distinct from the tests' in-process constants.
 SALTS="0 0x5bd1e9955bd1e995 0x94d049bb133111eb"
-
-# Simulator thread counts for the perturbation runs: the epoch-parallel
-# simulator (HERMES_SIM_THREADS, DESIGN.md §5 "Parallel simulation") must
-# produce the same digests as the sequential oracle, so the multi-salt
-# sweep doubles as a multi-thread sweep — every DECISION_DIGEST across
-# salts x threads must still be one value.
-SIM_THREADS="${SIM_THREADS:-1 8}"
 
 out="$(mktemp)"
 trap 'rm -f "$out"' EXIT
 
-for salt in $SALTS; do
-  echo "== HERMES_HASH_SALT=$salt (sequential) =="
-  HERMES_HASH_SALT="$salt" "$TEST_BIN" \
-    --gtest_filter='DeterminismPerturbationTest.*' | tee -a "$out"
-  for threads in $SIM_THREADS; do
-    echo "== HERMES_HASH_SALT=$salt HERMES_SIM_THREADS=$threads =="
-    HERMES_HASH_SALT="$salt" HERMES_SIM_THREADS="$threads" "$TEST_BIN" \
-      --gtest_filter='DeterminismPerturbationTest.*' | tee -a "$out"
+# One line per binary: test binary, gtest filter, comma-separated profile
+# prefixes it prints.
+while read -r bin filter prefixes; do
+  [ -n "$bin" ] || continue
+  path="$BUILD_DIR/tests/$bin"
+  if [ ! -x "$path" ]; then
+    echo "error: $path not found — build first:" >&2
+    echo "  cmake -B $BUILD_DIR -G Ninja && cmake --build $BUILD_DIR" >&2
+    exit 2
+  fi
+  : >"$out"
+  for salt in $SALTS; do
+    echo "== $bin HERMES_HASH_SALT=$salt =="
+    HERMES_HASH_SALT="$salt" "$path" --gtest_filter="$filter" | tee -a "$out"
   done
-done
-
-digests="$(sed -n 's/.*DECISION_DIGEST \([0-9a-f]*\) .*/\1/p' "$out" | sort -u)"
-count="$(printf '%s\n' "$digests" | grep -c . || true)"
-
-if [ "$count" -ne 1 ]; then
-  echo "FAIL: expected one decision digest across all salts, got $count:" >&2
-  printf '%s\n' "$digests" >&2
-  exit 1
-fi
-
-echo "OK: decision digest $digests identical across all env/in-process salts and sim thread counts ($SIM_THREADS)"
-
-# Chaos profile: one seeded fault plan per process, identical outcome line
-# (digests, checksum, commits, drop/dup counts, recovery times) required.
-chaos_out="$(mktemp)"
-trap 'rm -f "$out" "$chaos_out"' EXIT
-
-for salt in $SALTS; do
-  echo "== chaos HERMES_HASH_SALT=$salt =="
-  HERMES_HASH_SALT="$salt" "$CHAOS_BIN" \
-    --gtest_filter='ChaosScriptProfile.*' | tee -a "$chaos_out"
-done
-
-profiles="$(sed -n 's/^CHAOS_PROFILE //p' "$chaos_out" | sort -u)"
-profile_count="$(printf '%s\n' "$profiles" | grep -c . || true)"
-
-if [ "$profile_count" -ne 1 ]; then
-  echo "FAIL: expected one chaos outcome across all salts, got $profile_count:" >&2
-  printf '%s\n' "$profiles" >&2
-  exit 1
-fi
-
-echo "OK: chaos outcome identical across all env salts:"
-echo "  $profiles"
-
-# Degraded profile: the same processes also print a DEGRADED_PROFILE line
-# for a seeded no-stall plan (crash without intake pause). Its retry
-# transcript digest and counters must be one value across the env salts.
-degraded="$(sed -n 's/^DEGRADED_PROFILE //p' "$chaos_out" | sort -u)"
-degraded_count="$(printf '%s\n' "$degraded" | grep -c . || true)"
-
-if [ "$degraded_count" -ne 1 ]; then
-  echo "FAIL: expected one degraded outcome across all salts, got $degraded_count:" >&2
-  printf '%s\n' "$degraded" >&2
-  exit 1
-fi
-
-echo "OK: degraded outcome identical across all env salts:"
-echo "  $degraded"
-
-# Trace digests: every TRACE_DIGEST printed by trace_determinism_test —
-# across all processes and all in-process salts — must be one value.
-trace_out="$(mktemp)"
-trap 'rm -f "$out" "$chaos_out" "$trace_out"' EXIT
-
-for salt in $SALTS; do
-  echo "== trace HERMES_HASH_SALT=$salt =="
-  HERMES_HASH_SALT="$salt" "$TRACE_BIN" \
-    --gtest_filter='TraceDeterminismTest.TraceBitIdenticalAcrossSalts' \
-    | tee -a "$trace_out"
-done
-
-trace_digests="$(sed -n 's/.*TRACE_DIGEST \([0-9a-f]*\) .*/\1/p' "$trace_out" | sort -u)"
-trace_count="$(printf '%s\n' "$trace_digests" | grep -c . || true)"
-
-if [ "$trace_count" -ne 1 ]; then
-  echo "FAIL: expected one trace digest across all salts, got $trace_count:" >&2
-  printf '%s\n' "$trace_digests" >&2
-  exit 1
-fi
-
-echo "OK: trace digest $trace_digests identical across all env and in-process salts"
-
-# Replication profile: the replica-lease digest oracle reruns a
-# read-heavy leased workload (with a mid-run crash/rejoin lapsing every
-# lease) per in-process salt and prints a REPLICATION_PROFILE line —
-# decision/placement/trace digests, replica checksum, state checksum,
-# commit and lease counters. The test's sim.threads stays 0 (oracle), so
-# HERMES_SIM_THREADS steers the parallel simulator here: every line
-# across env salts x thread counts must be one value.
-lease_out="$(mktemp)"
-trap 'rm -f "$out" "$chaos_out" "$trace_out" "$lease_out"' EXIT
-
-for salt in $SALTS; do
-  for threads in $SIM_THREADS; do
-    echo "== replication HERMES_HASH_SALT=$salt HERMES_SIM_THREADS=$threads =="
-    HERMES_HASH_SALT="$salt" HERMES_SIM_THREADS="$threads" "$LEASE_BIN" \
-      --gtest_filter='ReplicaLeaseTest.DigestsInvariantAcrossThreadsAndSalts' \
-      | tee -a "$lease_out"
+  for prefix in $(printf '%s' "$prefixes" | tr ',' ' '); do
+    # In-process salt sweeps prefix their lines with "SALT <salt> ".
+    lines="$(sed -n "s/^\(SALT [0-9a-fx]* \)\{0,1\}\($prefix .*\)/\2/p" "$out" \
+      | sort -u)"
+    count="$(printf '%s\n' "$lines" | grep -c . || true)"
+    if [ "$count" -ne 1 ]; then
+      echo "FAIL: expected one $prefix line across all salts, got $count:" >&2
+      printf '%s\n' "$lines" >&2
+      exit 1
+    fi
+    echo "OK: $prefix identical across all env and in-process salts:"
+    echo "  $lines"
   done
-done
-
-lease_profiles="$(sed -n 's/^REPLICATION_PROFILE //p' "$lease_out" | sort -u)"
-lease_count="$(printf '%s\n' "$lease_profiles" | grep -c . || true)"
-
-if [ "$lease_count" -ne 1 ]; then
-  echo "FAIL: expected one replication profile across salts x threads, got $lease_count:" >&2
-  printf '%s\n' "$lease_profiles" >&2
-  exit 1
-fi
-
-echo "OK: replication profile identical across env salts x sim thread counts ($SIM_THREADS):"
-echo "  $lease_profiles"
-
-# Partition profile: a seeded partition plan (two-sided + one-way cuts,
-# gray link, heartbeat failure detector converting sustained
-# unreachability into membership epochs) runs once per env salt x thread
-# count and prints a PARTITION_PROFILE line — decision/placement/trace
-# digests, state checksum, replica checksum, commit count, held-message
-# and heartbeat-miss counters, suspect/restore counts, and the degraded
-# retry-transcript digest. The detector's verdicts and the holding-pen
-# release order must be pure functions of (plan seed, config), so every
-# line across salts x threads must be one value.
-partition_bin="$BUILD_DIR/tests/partition_chaos_test"
-if [ ! -x "$partition_bin" ]; then
-  echo "error: $partition_bin not found — build first" >&2
-  exit 2
-fi
-
-partition_out="$(mktemp)"
-trap 'rm -f "$out" "$chaos_out" "$trace_out" "$lease_out" "$partition_out"' EXIT
-
-for salt in $SALTS; do
-  for threads in $SIM_THREADS; do
-    echo "== partition HERMES_HASH_SALT=$salt HERMES_SIM_THREADS=$threads =="
-    HERMES_HASH_SALT="$salt" HERMES_SIM_THREADS="$threads" "$partition_bin" \
-      --gtest_filter='PartitionScriptProfile.*' | tee -a "$partition_out"
-  done
-done
-
-partition_profiles="$(sed -n 's/^PARTITION_PROFILE //p' "$partition_out" | sort -u)"
-partition_count="$(printf '%s\n' "$partition_profiles" | grep -c . || true)"
-
-if [ "$partition_count" -ne 1 ]; then
-  echo "FAIL: expected one partition profile across salts x threads, got $partition_count:" >&2
-  printf '%s\n' "$partition_profiles" >&2
-  exit 1
-fi
-
-echo "OK: partition profile identical across env salts x sim thread counts ($SIM_THREADS):"
-echo "  $partition_profiles"
-
-# Net profile: a seeded net-enabled lifetime (bounded-bandwidth links,
-# envelope coalescing, credit backpressure; plus a mid-run AddNode and a
-# partition cut/heal cycle draining a transmit queue into the pens) runs
-# once per env salt x thread count and prints a NET_PROFILE line —
-# decision/placement/trace digests, state checksum, commit count,
-# envelope/coalesce/transmit/stall counters, and the per-class queueing
-# p99s. Queueing, arbitration and coalescing must be pure functions of
-# (config, send order, virtual time), so every line across salts x
-# threads must be one value.
-net_bin="$BUILD_DIR/tests/wire_determinism_test"
-if [ ! -x "$net_bin" ]; then
-  echo "error: $net_bin not found — build first" >&2
-  exit 2
-fi
-
-net_out="$(mktemp)"
-trap 'rm -f "$out" "$chaos_out" "$trace_out" "$lease_out" "$partition_out" "$net_out"' EXIT
-
-for salt in $SALTS; do
-  for threads in $SIM_THREADS; do
-    echo "== net HERMES_HASH_SALT=$salt HERMES_SIM_THREADS=$threads =="
-    HERMES_HASH_SALT="$salt" HERMES_SIM_THREADS="$threads" "$net_bin" \
-      --gtest_filter='NetScriptProfile.*' | tee -a "$net_out"
-  done
-done
-
-net_profiles="$(sed -n 's/^NET_PROFILE //p' "$net_out" | sort -u)"
-net_count="$(printf '%s\n' "$net_profiles" | grep -c . || true)"
-
-if [ "$net_count" -ne 1 ]; then
-  echo "FAIL: expected one net profile across salts x threads, got $net_count:" >&2
-  printf '%s\n' "$net_profiles" >&2
-  exit 1
-fi
-
-echo "OK: net profile identical across env salts x sim thread counts ($SIM_THREADS):"
-echo "  $net_profiles"
+done <<EOF
+determinism_perturbation_test DeterminismPerturbationTest.* DECISION_DIGEST
+chaos_property_test ChaosScriptProfile.* CHAOS_PROFILE,DEGRADED_PROFILE
+trace_determinism_test TraceDeterminismTest.TraceBitIdenticalAcrossSalts TRACE_DIGEST
+replica_lease_test ReplicaLeaseTest.DigestsInvariantAcrossSalts REPLICATION_PROFILE
+partition_chaos_test PartitionScriptProfile.* PARTITION_PROFILE
+wire_determinism_test NetScriptProfile.* NET_PROFILE
+EOF

@@ -9,7 +9,7 @@ namespace hermes {
 /// rule bans `std::getenv` everywhere except env.cc, so every
 /// environment read in the tree is enumerable from this header's call
 /// sites — which is what keeps the env surface auditable: an env var
-/// may select a *configuration* (salt, thread count, trace switches)
+/// may select a *configuration* (salt, trace switches)
 /// before a run, but nothing may read the environment mid-decision,
 /// where it would be invisible to the digest oracles and the replay
 /// tooling.
@@ -18,12 +18,9 @@ namespace hermes {
 /// as-is (callers that treat empty as unset say so explicitly).
 const char* EnvRead(const char* name);
 
-/// Integer convenience wrappers over EnvRead: `def` when unset or
-/// empty. Parsing matches the historical call sites (strtoull with
-/// base 0 — decimal or 0x-hex — for the unsigned form, strtol base 10
-/// for the signed form).
+/// Integer convenience wrapper over EnvRead: `def` when unset or empty.
+/// Parses with strtoull base 0 (decimal or 0x-hex).
 uint64_t EnvReadU64(const char* name, uint64_t def);
-int EnvReadInt(const char* name, int def);
 
 /// True when `name` is set to a truthy value: anything except unset,
 /// empty, or the literal "0" (the HERMES_TRACE convention).

@@ -59,16 +59,8 @@ Cluster::Cluster(const ClusterConfig& config, RouterKind kind,
       scheduler_(&sim_, router_.get(), &executor_, &command_log_, &config_,
                  [this](const TxnRequest& txn) { return ResolveCallback(txn); },
                  &digest_, &placement_digest_) {
-  // Parallel simulation (DESIGN.md §5 "Parallel simulation"): one event
-  // lane per node, executed by config.sim.threads real threads under an
-  // epoch barrier. threads == 0 (the default) runs the identical epoch
-  // schedule sequentially and is the oracle mode; HERMES_SIM_THREADS
-  // overrides it so scripts can sweep thread counts without config edits.
-  int sim_threads = config_.sim.threads;
-  if (sim_threads == 0) {
-    sim_threads = EnvReadInt("HERMES_SIM_THREADS", 0);
-  }
-  sim_.ConfigureLanes(config_.num_nodes, sim_threads);
+  assert(config_.sim.threads == 0 &&
+         "the simulator is single-threaded; sim.threads must be 0");
   nodes_.reserve(config_.num_nodes);
   for (NodeId i = 0; i < config_.num_nodes; ++i) {
     nodes_.push_back(
@@ -99,8 +91,6 @@ Cluster::Cluster(const ClusterConfig& config, RouterKind kind,
   // into it), timestamps come from the virtual clock, and the env vars
   // keep the historical UX — HERMES_TRACE=1 records everything,
   // HERMES_TRACE_KEY=<key> mirrors one key's events to stderr.
-  // Rings are pre-sized so lane-side Record() calls never grow the ring
-  // vector; the clock closure reads the lane-aware virtual clock.
   tracer_.Configure(config_.obs.trace_ring_capacity,
                     static_cast<size_t>(config_.num_nodes));
   tracer_.set_clock([this] { return sim_.Now(); });
@@ -235,10 +225,10 @@ void Cluster::RegisterTelemetry() {
       return static_cast<int64_t>(net_.class_bytes_sent(TrafficClass::kBulk));
     });
     telemetry_.RegisterHistogram("hermes_wire_fg_queue_delay_us", [this] {
-      return wire_.MergedQueueDelay(TrafficClass::kForeground).Snapshot();
+      return wire_.QueueDelay(TrafficClass::kForeground).Snapshot();
     });
     telemetry_.RegisterHistogram("hermes_wire_bulk_queue_delay_us", [this] {
-      return wire_.MergedQueueDelay(TrafficClass::kBulk).Snapshot();
+      return wire_.QueueDelay(TrafficClass::kBulk).Snapshot();
     });
   }
   if (kind_ == RouterKind::kHermes) {
@@ -324,8 +314,6 @@ void Cluster::SubmitSequenced(TxnRequest txn,
 void Cluster::ScheduleSequencerEntry(SimTime delay, TxnRequest txn,
                                      TxnExecutor::CommitCallback on_commit,
                                      bool restamp) {
-  assert(!sim_.in_lane_context() &&
-         "sequencer entries are scheduled in exclusive context only");
   const uint32_t slot = sequencer_entries_.Park(
       SequencerEntry{std::move(txn), std::move(on_commit), restamp});
   sim_.Schedule(delay, sim::InlineTask([this, slot]() {
@@ -525,7 +513,6 @@ NodeId Cluster::AddNode(const std::vector<RangeMove>& cold_plan,
 void Cluster::GrowPhysicalNodes(int count) {
   while (num_nodes() < count) {
     const NodeId id = static_cast<NodeId>(nodes_.size());
-    sim_.EnsureLanes(id + 1);
     tracer_.EnsureNode(id);
     lease_mgr_.EnsureNode(id);
     nodes_.push_back(

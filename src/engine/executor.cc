@@ -92,10 +92,8 @@ TxnExecutor::TxnExecutor(sim::Simulator* sim, net::Wire* wire,
     : sim_(sim), net_(wire), metrics_(metrics), costs_(costs), nodes_(nodes) {}
 
 void TxnExecutor::EnsureNodes(int num_nodes) {
-  assert(!sim_->in_lane_context() &&
-         "per-node executor state may only grow in exclusive context");
-  if (static_cast<int>(per_node_.size()) < num_nodes) {
-    per_node_.resize(static_cast<size_t>(num_nodes));
+  if (static_cast<int>(presence_.size()) < num_nodes) {
+    presence_.resize(static_cast<size_t>(num_nodes));
   }
 }
 
@@ -257,7 +255,7 @@ void TxnExecutor::Dispatch(RoutedTxn routed, CommitCallback on_commit) {
     state.acquire_time = sim_->Now();
     CollectLockRequests(plan, node, regular && state.is_master,
                         &lock_scratch_);
-    Borrowed<TxnId> granted(NodeAt(node).grant_scratch());
+    Borrowed<TxnId> granted(grant_scratch_);
     NodeAt(node).locks().Acquire(id, lock_scratch_, granted.get());
     ProcessGrants(node, *granted);
   }
@@ -298,11 +296,10 @@ void TxnExecutor::OnNodeGranted(Active& a, NodeId node) {
   }
   state->granted = true;
   state->grant_time = sim_->Now();
-  NodeLocal& local = per_node_[static_cast<size_t>(node)];
 
   // Participant side: ship records once they are physically present.
   if (NodeWillSend(a, *state, node)) {
-    Borrowed<Key> needed(local.keys);
+    Borrowed<Key> needed(key_scratch_);
     for (const Access& acc : Owned(a, *state)) {
       const bool migrates =
           acc.new_owner != kInvalidNode && acc.new_owner != node;
@@ -322,8 +319,8 @@ void TxnExecutor::OnNodeGranted(Active& a, NodeId node) {
   // local_present flips exactly once.
   MasterState* m = MasterFor(a, node);
   if (m != nullptr) {
-    Borrowed<Key> primary(local.keys);
-    Borrowed<Key> replica(local.more_keys);
+    Borrowed<Key> primary(key_scratch_);
+    Borrowed<Key> replica(replica_key_scratch_);
     for (const Access& acc : Owned(a, *state)) {
       if (acc.replica_read && lease_mgr_ != nullptr) {
         replica->push_back(acc.key);
@@ -391,7 +388,7 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
   // Build one message per destination, in destination order: read copies
   // to masters, record moves to their new owners. Copies are snapshotted
   // before any move extracts the record.
-  Borrowed<Shipment> shipments(per_node_[static_cast<size_t>(node)].shipments);
+  Borrowed<Shipment> shipments(shipment_scratch_);
   auto shipment_to = [&shipments](NodeId dest) -> Shipment& {
     auto it = std::lower_bound(
         shipments->begin(), shipments->end(), dest,
@@ -462,22 +459,18 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
                }));
   }
   // Early release: participants that are not masters give their locks up
-  // right after shipping (their part of the transaction is over). Lock
-  // state is node-local, so the release and its grant chain stay on this
-  // lane; the shared bookkeeping (metrics, participant counter, possible
-  // completion) rides the epoch barrier at the same virtual time.
-  Borrowed<TxnId> granted(src.grant_scratch());
+  // right after shipping (their part of the transaction is over). The
+  // grant chain runs first, then this send phase's bookkeeping.
+  Borrowed<TxnId> granted(grant_scratch_);
   if (!state->is_master) {
     src.locks().Release(id, granted.get());
   }
-  sim_->Defer(InlineTask([this, id, migrated]() {
-    if (migrated > 0) metrics_->RecordMigrations(sim_->Now(), migrated);
-    Active* act = Find(id);
-    if (act == nullptr) return;
-    --act->participants_pending;
-    MaybeComplete(*act);  // may retire `act`
-  }));
   ProcessGrants(node, *granted);
+  if (migrated > 0) metrics_->RecordMigrations(sim_->Now(), migrated);
+  Active* act = Find(id);
+  if (act == nullptr) return;
+  --act->participants_pending;
+  MaybeComplete(*act);  // may retire `act`
 }
 
 void TxnExecutor::CheckMasterReady(Active& a, MasterState& m) {
@@ -505,7 +498,7 @@ void TxnExecutor::CheckMasterReady(Active& a, MasterState& m) {
   m.started = true;
   m.ready_time = sim_->Now();
   if (m.ready_time > state->grant_time) {
-    m.remote_wait_us += m.ready_time - state->grant_time;
+    a.remote_wait_us += m.ready_time - state->grant_time;
   }
   ExecuteMaster(a, m);
 }
@@ -528,7 +521,7 @@ void TxnExecutor::ExecuteMaster(Active& a, MasterState& m) {
                        costs_->txn_logic_per_record_us * a.plan.txn.NumOps() +
                        costs_->storage_op_us * local_ops +
                        costs_->msg_processing_us * m.messages_received;
-  m.exec_us += cost;
+  a.exec_us += cost;
   const TxnId id = a.plan.txn.id;
   const NodeId node = m.node;
   NodeAt(node).workers().Submit(cost, InlineTask([this, id, node]() {
@@ -577,8 +570,7 @@ void TxnExecutor::CommitMaster(Active& a, MasterState& m) {
   // Holders apply version-max, so late or duplicated updates converge.
   // Each key fans out from the master that applied it (the same
   // applies-here test as the write loop above), so multi-master plans
-  // refresh copies exactly once per key. The holder set is
-  // exclusive-written, lane-read — safe here.
+  // refresh copies exactly once per key.
   if (lease_mgr_ != nullptr && a.plan.txn.kind == TxnKind::kRegular &&
       !a.plan.txn.user_abort) {
     uint64_t fanout_work = 0;
@@ -602,8 +594,8 @@ void TxnExecutor::CommitMaster(Active& a, MasterState& m) {
       const storage::Record snapshot = *rec;
       for (NodeId h : *holders) {
         if (h == m.node) {
-          // The primary migrated onto a holder: refresh its copy in place
-          // (own lane, own shard), no network hop.
+          // The primary migrated onto a holder: refresh its copy in place,
+          // no network hop.
           lease_mgr_->ApplyCopy(h, k, snapshot, /*install=*/false, id);
           continue;
         }
@@ -624,16 +616,13 @@ void TxnExecutor::CommitMaster(Active& a, MasterState& m) {
     if (fanout_work > 0) node.workers().Submit(fanout_work, [] {});
   }
 
-  Borrowed<TxnId> granted(node.grant_scratch());
+  Borrowed<TxnId> granted(grant_scratch_);
   node.locks().Release(id, granted.get());
   m.done = true;
-  const NodeId master_node = m.node;
-  // The done-counter is shared across masters (different node lanes) and
-  // the acknowledgment does cross-node work (return-shipment extracts),
-  // so both run at the epoch barrier, at this same virtual time. The
-  // grant chain is node-local and stays on this lane.
-  sim_->Defer(InlineTask([this, id]() { OnMasterDone(id); }));
-  ProcessGrants(master_node, *granted);
+  // The grant chain runs first, then the done-counter and, after the last
+  // master, the acknowledgment (which may retire `a`).
+  ProcessGrants(m.node, *granted);
+  OnMasterDone(id);
 }
 
 void TxnExecutor::OnMasterDone(TxnId id) {
@@ -651,8 +640,6 @@ void TxnExecutor::MaybeComplete(Active& a) {
 }
 
 void TxnExecutor::Acknowledge(Active& a) {
-  assert(!sim_->in_lane_context() &&
-         "acknowledgment does cross-node work; exclusive context only");
   // Return shipments: checked-out records go home after commit. The
   // write-back is real work: the sender reads and serializes each record,
   // the receiver deserializes and re-inserts it — this is the overhead
@@ -710,16 +697,8 @@ void TxnExecutor::Acknowledge(Active& a) {
     }
   }
   result.latency.lock_wait_us = lock_wait;
-  // Per-master contributions were accumulated on each master's own lane;
-  // summing here (exclusive context) reproduces the sequential totals.
-  SimTime remote_wait_us = 0;
-  SimTime exec_us = 0;
-  for (const auto& m : a.masters) {
-    remote_wait_us += m.remote_wait_us;
-    exec_us += m.exec_us;
-  }
-  result.latency.remote_wait_us = remote_wait_us;
-  result.latency.storage_us = exec_us;
+  result.latency.remote_wait_us = a.remote_wait_us;
+  result.latency.storage_us = a.exec_us;
 
   // Phase spans: the lifecycle timeline of §2.1, laid end to end from
   // submit time. Purely derived from the latency breakdown computed above.
@@ -824,8 +803,8 @@ std::string TxnExecutor::DebugString() const {
   }
   // Sorted so the diagnostic is stable across runs and hash salts.
   std::vector<std::tuple<NodeId, Key, size_t>> waits;
-  for (size_t node = 0; node < per_node_.size(); ++node) {
-    for (const auto& [key, count] : per_node_[node].presence.Snapshot()) {
+  for (size_t node = 0; node < presence_.size(); ++node) {
+    for (const auto& [key, count] : presence_[node].Snapshot()) {
       waits.emplace_back(static_cast<NodeId>(node), key, count);
     }
   }
@@ -884,7 +863,7 @@ void TxnExecutor::PresenceWaits::Wake(Key key) {
   if (q == nullptr) return;
   uint32_t w = q->head;
   // Detach the list first: a continuation run below may register new
-  // waits on this shard (even on this key, if it moved the record away).
+  // waits on this node (even on this key, if it moved the record away).
   queues_.Erase(key);
   while (w != kNone) {
     const Waiter waiter = waiters_[w];
@@ -910,38 +889,23 @@ std::vector<std::pair<Key, size_t>> TxnExecutor::PresenceWaits::Snapshot()
 
 void TxnExecutor::WaitPresence(NodeId node, std::span<const Key> keys,
                                sim::Task ready) {
-  assert(static_cast<size_t>(node) < per_node_.size() &&
+  assert(static_cast<size_t>(node) < presence_.size() &&
          "node without executor state (EnsureNodes not called)");
-  sim::Task now = per_node_[static_cast<size_t>(node)].presence.Wait(
+  sim::Task now = presence_[static_cast<size_t>(node)].Wait(
       NodeAt(node).store(), keys, std::move(ready));
   if (now) now();
 }
 
 void TxnExecutor::Freeze(Active& a) {
-  // The frozen flag and the sorted watchdog index are shared across
-  // nodes; lane-side freezes (dead-node gates firing on the dead node's
-  // lane) land at the epoch barrier, same virtual time. Captured by id:
-  // the transaction may complete at the same barrier.
-  const TxnId id = a.plan.txn.id;
-  sim_->Defer([this, id]() {
-    Active* act = Find(id);
-    if (act == nullptr) return;
-    act->frozen = true;
-    frozen_ids_.insert(id);
-  });
+  a.frozen = true;
+  frozen_ids_.insert(a.plan.txn.id);
 }
 
 void TxnExecutor::FreezeStalled(Active& a, NodeId node, sim::Task resume) {
-  // Same barrier discipline as Freeze(); additionally parks the abandoned
-  // continuation under the dead node so ResumeStalled can re-drive it.
-  const TxnId id = a.plan.txn.id;
-  sim_->Defer([this, id, node, resume = std::move(resume)]() mutable {
-    Active* act = Find(id);
-    if (act == nullptr) return;
-    act->frozen = true;
-    frozen_ids_.insert(id);
-    act->stalled[node].push_back(std::move(resume));
-  });
+  // Also parks the abandoned continuation under the dead node so
+  // ResumeStalled can re-drive it.
+  Freeze(a);
+  a.stalled[node].push_back(std::move(resume));
 }
 
 void TxnExecutor::ResumeStalled(NodeId node) {
@@ -1013,18 +977,16 @@ void TxnExecutor::StartReplicaInstall(Key key, NodeId source, NodeId holder,
     if (rec == nullptr) {
       // An earlier waiter in the same wake list (a migration's presence
       // wait) re-extracted the record before this one ran. Dropping the
-      // install would wedge every read waiting on the copy, so re-resolve
-      // from exclusive context — the barrier runs after TrackInFlight's
-      // deferred bookkeeping, so the retry sees the new destination.
-      sim_->Defer([this, key, holder, txn]() {
-        const std::vector<NodeId>* holders = lease_mgr_->HoldersOf(key);
-        if (holders == nullptr ||
-            !std::binary_search(holders->begin(), holders->end(), holder)) {
-          return;  // revoked/lapsed meanwhile: waiters were already woken
-        }
-        if (lease_mgr_->CopyPresent(holder, key)) return;
-        StartReplicaInstall(key, kInvalidNode, holder, txn);
-      });
+      // install would wedge every read waiting on the copy, so re-resolve:
+      // the extraction already listed the record in flight, so the retry
+      // follows it to its new destination.
+      const std::vector<NodeId>* holders = lease_mgr_->HoldersOf(key);
+      if (holders == nullptr ||
+          !std::binary_search(holders->begin(), holders->end(), holder)) {
+        return;  // revoked/lapsed meanwhile: waiters were already woken
+      }
+      if (lease_mgr_->CopyPresent(holder, key)) return;
+      StartReplicaInstall(key, kInvalidNode, holder, txn);
       return;
     }
     const storage::Record snapshot = *rec;
@@ -1049,14 +1011,9 @@ void TxnExecutor::StartReplicaInstall(Key key, NodeId source, NodeId holder,
 
 void TxnExecutor::TrackInFlight(Key key, NodeId from, NodeId to, TxnId txn,
                                 const storage::Record& record) {
-  // The in-flight table is written only in exclusive context; extraction
-  // on a node lane defers the bookkeeping to the barrier (same virtual
-  // time — the record was already physically Extract()ed by the caller).
-  sim_->Defer(InlineTask([this, key, from, to, txn, record]() {
-    assert(!inflight_records_.contains(key) &&
-           "record extracted twice without an intervening delivery");
-    inflight_records_[key] = InFlightRecord{from, to, txn, record};
-  }));
+  assert(!inflight_records_.contains(key) &&
+         "record extracted twice without an intervening delivery");
+  inflight_records_[key] = InFlightRecord{from, to, txn, record};
 }
 
 void TxnExecutor::DeliverRecord(NodeId node, Key key,
@@ -1067,39 +1024,33 @@ void TxnExecutor::DeliverRecord(NodeId node, Key key,
     // holds) and arm a deterministic reclaim: after reclaim_timeout_us
     // the sender re-inserts the record and notes the divergence from the
     // ownership map; if the node rejoins first, OnNodeUp flushes it.
-    // Suppression mutates shared state (the in-flight table, the frozen
-    // index), so it rides the barrier when the delivery ran lane-side.
-    sim_->Defer([this, node, key]() {
-      auto it = inflight_records_.find(key);
-      if (it == inflight_records_.end()) return;
-      InFlightRecord& entry = it->second;
-      if (entry.suppressed) return;
-      entry.suppressed = true;
-      HERMES_TRACE(tracer_, obs::EventKind::kRecordSuppress, node, entry.txn,
-                   key);
-      // Freeze the carrying transaction: its shipment will never complete.
-      const TxnId carrier = entry.txn;
-      if (Active* at = Find(carrier)) Freeze(*at);
-      const SimTime timeout =
-          degraded_ != nullptr ? degraded_->reclaim_timeout_us : 2000;
-      sim_->Schedule(timeout,
-                     [this, key, carrier]() { ReclaimSuppressed(key, carrier); });
-    });
+    auto it = inflight_records_.find(key);
+    if (it == inflight_records_.end()) return;
+    InFlightRecord& entry = it->second;
+    if (entry.suppressed) return;
+    entry.suppressed = true;
+    HERMES_TRACE(tracer_, obs::EventKind::kRecordSuppress, node, entry.txn,
+                 key);
+    // Freeze the carrying transaction: its shipment will never complete.
+    const TxnId carrier = entry.txn;
+    if (Active* at = Find(carrier)) Freeze(*at);
+    const SimTime timeout =
+        degraded_ != nullptr ? degraded_->reclaim_timeout_us : 2000;
+    sim_->Schedule(timeout,
+                   [this, key, carrier]() { ReclaimSuppressed(key, carrier); });
     return;
   }
-  if (HERMES_TRACE_ACTIVE(tracer_)) {
-    // Read-only lookup: lanes may read the in-flight table (all writes are
-    // barrier-serialized), and this delivery's entry was inserted at an
-    // earlier barrier — the wire time is positive.
-    auto carrier = inflight_records_.find(key);
-    tracer_->Record(obs::EventKind::kRecordDeliver, node,
-                    carrier != inflight_records_.end() ? carrier->second.txn
-                                                       : kInvalidTxn,
-                    key);
+  auto carrier = inflight_records_.find(key);
+  if (carrier != inflight_records_.end()) {
+    HERMES_TRACE(tracer_, obs::EventKind::kRecordDeliver, node,
+                 carrier->second.txn, key);
+    inflight_records_.erase(carrier);
+  } else {
+    HERMES_TRACE(tracer_, obs::EventKind::kRecordDeliver, node, kInvalidTxn,
+                 key);
   }
-  sim_->Defer(InlineTask([this, key]() { inflight_records_.erase(key); }));
   NodeAt(node).store().Insert(key, record);
-  per_node_[static_cast<size_t>(node)].presence.Wake(key);
+  presence_[static_cast<size_t>(node)].Wake(key);
 }
 
 void TxnExecutor::ReclaimSuppressed(Key key, TxnId carrier) {
@@ -1269,7 +1220,7 @@ void TxnExecutor::AbortActive(Active& a) {
   std::vector<std::pair<NodeId, std::vector<TxnId>>> grants;
   for (auto& [node, state] : a.nodes) {
     (void)state;
-    Borrowed<TxnId> g(NodeAt(node).grant_scratch());
+    Borrowed<TxnId> g(grant_scratch_);
     NodeAt(node).locks().Release(id, g.get());
     if (!g->empty()) grants.emplace_back(node, *g);
   }

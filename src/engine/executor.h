@@ -80,11 +80,8 @@ class TxnExecutor {
   TxnExecutor& operator=(const TxnExecutor&) = delete;
 
   /// Dispatches one routed transaction. Must be called in total order.
-  /// Scheduled from the scheduler's dispatch events only (control lane):
-  /// it enqueues locks at every involved node and applies replica-lease
-  /// ops, both cross-node work. The transaction keeps the plan until it
-  /// completes; a caller done with its copy moves it in.
-  // detlint:runs(exclusive)
+  /// The transaction keeps the plan until it completes; a caller done
+  /// with its copy moves it in.
   void Dispatch(routing::RoutedTxn routed, CommitCallback on_commit);
 
   /// Wires the replica-lease mechanism (null = leases off). Dispatch
@@ -122,7 +119,6 @@ class TxnExecutor {
   /// it was down (their delivery resumes now; pending reclaim timers
   /// no-op), then resumes machines stalled at the node's dead gates.
   /// Called by the cluster at rejoin, before reconciliation.
-  // detlint:requires(exclusive)
   void OnNodeUp(NodeId node);
 
   /// Moves a record whose physical location diverged from the ownership
@@ -144,12 +140,10 @@ class TxnExecutor {
   /// Number of transactions currently in flight.
   size_t inflight() const { return actives_.size(); }
 
-  /// Grows the per-node state (presence waits, scratch buffers) to
-  /// `num_nodes` nodes. The cluster calls it wherever it creates nodes,
-  /// in exclusive context, before the new node's lane runs any event;
-  /// Dispatch also catches up with nodes added behind the executor's back
-  /// (standalone executors in tests).
-  // detlint:runs(exclusive)
+  /// Grows the per-node presence waits to `num_nodes` nodes. The cluster
+  /// calls it wherever it creates nodes; Dispatch also catches up with
+  /// nodes added behind the executor's back (standalone executors in
+  /// tests).
   void EnsureNodes(int num_nodes);
 
   uint64_t committed() const { return committed_.value(); }
@@ -212,11 +206,6 @@ class TxnExecutor {
     bool started = false;
     bool done = false;
     SimTime ready_time = 0;
-    /// Latency contributions accumulated on this master's node lane;
-    /// summed across masters by Acknowledge() (exclusive context), so no
-    /// two lanes ever write one field.
-    SimTime remote_wait_us = 0;
-    SimTime exec_us = 0;
   };
   /// Per-transaction state. Records are pooled: a finished transaction's
   /// record is Recycle()d and reused with its vectors' capacity, so a
@@ -232,6 +221,9 @@ class TxnExecutor {
     std::vector<MasterState> masters;
     std::vector<Key> write_keys;  ///< dedup of plan.txn.write_set
     int masters_done = 0;
+    /// Latency contributions summed over every master.
+    SimTime remote_wait_us = 0;
+    SimTime exec_us = 0;
     /// Participant send phases not yet completed. The client ack does not
     /// wait for them (an eviction migrates after the transaction returns,
     /// §4.1), but the transaction state must outlive them.
@@ -306,25 +298,15 @@ class TxnExecutor {
     bool to_master = false;
   };
 
-  /// Executor state owned by one node: touched only by that node's lane
-  /// or the exclusive slice, so concurrent lanes never share it. The
-  /// vectors are scratch reused across transactions.
-  struct NodeLocal {
-    PresenceWaits presence;
-    std::vector<Key> keys;
-    std::vector<Key> more_keys;
-    std::vector<Shipment> shipments;
-  };
-
   /// Live transaction by id (nullptr once completed or aborted).
   Active* Find(TxnId id) {
     Active** a = actives_.Find(id);
     return a == nullptr ? nullptr : *a;
   }
-  /// Takes a record from the pool (exclusive context).
+  /// Takes a record from the pool.
   Active& AcquireActive();
-  /// Unindexes a finished transaction and returns its record to the pool
-  /// (exclusive context). Continuations still pending for it find nothing.
+  /// Unindexes a finished transaction and returns its record to the pool.
+  /// Continuations still pending for it find nothing.
   void RetireActive(Active& a);
   /// This node's run of a.owned.
   static std::span<const routing::Access> Owned(const Active& a,
@@ -350,23 +332,17 @@ class TxnExecutor {
   void CheckMasterReady(Active& a, MasterState& m);
   void ExecuteMaster(Active& a, MasterState& m);
   void CommitMaster(Active& a, MasterState& m);
-  /// Barrier-side tail of CommitMaster: bumps masters_done and, once every
-  /// master committed, acknowledges. Runs in exclusive context (Defer) —
-  /// masters commit on their own node lanes, so the shared counter and the
-  /// cross-node acknowledgment work may not run lane-side.
-  // detlint:requires(exclusive)
+  /// Tail of CommitMaster: bumps masters_done and, once every master
+  /// committed, acknowledges.
   void OnMasterDone(TxnId id);
   /// Client acknowledgment + return shipments, fired once when every
-  /// master has committed. Exclusive context only.
-  // detlint:requires(exclusive)
+  /// master has committed.
   void Acknowledge(Active& a);
   /// The client ack one network hop after Acknowledge: records the
-  /// commit and runs the client callback. Control lane only.
-  // detlint:runs(exclusive)
+  /// commit and runs the client callback.
   void DeliverAck(uint32_t slot);
   /// Retires the transaction state once masters and participants are all
-  /// done. Touches cross-node per-txn state, so exclusive context only.
-  // detlint:requires(exclusive)
+  /// done.
   void MaybeComplete(Active& a);
 
   /// True when degraded mode is active and `node` is currently down.
@@ -374,49 +350,39 @@ class TxnExecutor {
     return membership_ != nullptr && !membership_->alive(node);
   }
   /// Marks `a` stuck at a dead node and indexes it for the watchdog.
-  /// Defers to the epoch barrier when called lane-side (the flag and the
-  /// sorted index are shared across nodes).
   void Freeze(Active& a);
   /// Freeze() plus a resume continuation: the gate that fired records
   /// exactly where the per-node machine stalled so ResumeStalled can
-  /// re-drive it at rejoin. Defers like Freeze().
+  /// re-drive it at rejoin.
   void FreezeStalled(Active& a, NodeId node, sim::Task resume);
   /// Re-drives every machine stalled at `node`'s dead gates, in sorted
-  /// txn order, and unfreezes transactions with no remaining stalls.
-  /// Touches cross-node per-txn state — exclusive context only (runs
-  /// inside the rejoin transition, live and replay).
-  // detlint:requires(exclusive)
+  /// txn order, and unfreezes transactions with no remaining stalls
+  /// (runs inside the rejoin transition, live and replay).
   void ResumeStalled(NodeId node);
   /// Deterministic periodic sweep: aborts every frozen, un-acknowledged
   /// transaction (sorted by id), re-arming while any node is down.
-  /// Scheduled on the control lane only, never called lane-side.
-  // detlint:runs(exclusive)
   void WatchdogSweep();
   /// Reclaim timer body: returns a suppressed in-flight record to its
   /// source once the destination has been down for reclaim_timeout_us.
   /// Re-arms itself while the SOURCE is also down (overlapping fault
   /// windows — e.g. a partition suspect while a crashed node is out):
-  /// reclaiming to a dead node would drop the payload. Scheduled on the
-  /// control lane only, never called lane-side.
-  // detlint:runs(exclusive)
+  /// reclaiming to a dead node would drop the payload.
   void ReclaimSuppressed(Key key, TxnId carrier);
   /// UNDO-aborts one frozen transaction: classifies its unfinished
   /// migrations (reship / strand / displace), releases its locks
   /// everywhere, and hands (request, callback, stranded keys) to the
   /// cluster's abort handler.
-  // detlint:requires(exclusive)
   void AbortActive(Active& a);
 
   /// Ships a read-only copy of `key` to `holder` for a freshly granted
   /// lease: waits for the record at its source (following an in-flight
   /// migration or a displaced record if needed), snapshots it — the
-  /// primary is never extracted — and sends it; the holder's lane applies
-  /// it through the lease manager. Dispatch-time (exclusive) entry point.
+  /// primary is never extracted — and sends it; the holder applies it
+  /// through the lease manager on arrival.
   void StartReplicaInstall(Key key, NodeId source, NodeId holder, TxnId txn);
 
   /// Registers a record as extracted at `from` and riding a message to
-  /// `to` (cleared again by DeliverRecord). The table write lands at the
-  /// epoch barrier when called lane-side (same virtual time).
+  /// `to` (cleared again by DeliverRecord).
   void TrackInFlight(Key key, NodeId from, NodeId to, TxnId txn,
                      const storage::Record& record);
 
@@ -435,30 +401,29 @@ class TxnExecutor {
   const CostModel* costs_;
   std::vector<std::unique_ptr<Node>>* nodes_;
 
-  /// Transaction table. Structural writes (insert on dispatch, erase on
-  /// completion/abort) happen only in exclusive context; node lanes do
-  /// read-only Find()s, which is safe while the barrier serializes every
-  /// mutation.
+  /// Transaction table: inserted on dispatch, erased on completion/abort.
   FlatTable<Active*> actives_;
   /// Owns every Active record ever made; spare_ lists the idle ones.
   std::vector<std::unique_ptr<Active>> active_pool_;
   std::vector<Active*> spare_;
-  /// Exclusive-context scratch: one node's lock requests while Dispatch
-  /// enqueues them, Dispatch's shipment targets, and Acknowledge's
-  /// per-node send work. Reused, so none allocates per transaction.
+  /// Scratch reused across transactions, so none allocates per
+  /// transaction: one node's lock requests while Dispatch enqueues them,
+  /// Dispatch's shipment targets, Acknowledge's per-node send work, and
+  /// the homes Borrowed (executor.cc) lends out for lock grants,
+  /// presence keys and a send phase's shipments.
   std::vector<storage::LockRequest> lock_scratch_;
   std::vector<NodeId> targets_scratch_;
   std::vector<std::pair<NodeId, uint64_t>> send_work_scratch_;
-  /// Client acks in flight (exclusive context only).
+  std::vector<TxnId> grant_scratch_;
+  std::vector<Key> key_scratch_;
+  std::vector<Key> replica_key_scratch_;
+  std::vector<Shipment> shipment_scratch_;
+  /// Client acks in flight.
   sim::SlotPool<PendingAck> acks_;
 
-  /// Per-node state, indexed by node id; sized by EnsureNodes in
-  /// exclusive context only (growth would race lanes reading their own
-  /// entry).
-  std::vector<NodeLocal> per_node_;
+  /// Presence waits, indexed by node id; sized by EnsureNodes.
+  std::vector<PresenceWaits> presence_;
 
-  /// Written only in exclusive context (extract/delivery bookkeeping rides
-  /// the epoch barrier); lanes may read it (trace carrier lookups).
   std::map<Key, InFlightRecord> inflight_records_;
 
   obs::Counter committed_;

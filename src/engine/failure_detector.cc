@@ -32,13 +32,9 @@ bool FailureDetector::Responsive(NodeId node) const {
 }
 
 void FailureDetector::Arm(SimTime active_until) {
-  assert(!cluster_->simulator().in_lane_context() &&
-         "the detector is armed in exclusive context only");
   active_until_ = std::max(active_until_, active_until);
   if (armed_) return;
   armed_ = true;
-  // Scheduled from exclusive context, so the tick lands on the control
-  // lane and runs in the exclusive slice of its epoch.
   cluster_->simulator().Schedule(config_.heartbeat_period_us,
                                  [this] { Tick(); });
 }
@@ -78,7 +74,7 @@ void FailureDetector::Tick() {
   // Round 2: the mutual-health graph over responsive nodes. Components
   // are found by BFS in ascending id order; the primary component is the
   // largest, ties broken by lowest member id — a total order independent
-  // of hash salts and thread counts.
+  // of hash salts.
   std::vector<int> component(static_cast<size_t>(n), -1);
   std::vector<int> comp_size;
   std::vector<NodeId> queue;

@@ -18,8 +18,8 @@ class Cluster;
 /// Deterministic heartbeat failure detector (DESIGN.md §5 "Partitions &
 /// failure detection").
 ///
-/// Every heartbeat_period_us of virtual time a tick runs on the control
-/// lane (exclusive context) and evaluates, for every ordered node pair,
+/// Every heartbeat_period_us of virtual time a tick evaluates, for every
+/// ordered node pair,
 /// whether that round's heartbeat would have arrived: the link must not be
 /// cut in the network's reachability matrix, the gray-failure draw (a pure
 /// function of (chaos seed, link, tick)) must not eat it, and both
@@ -55,9 +55,7 @@ class FailureDetector {
 
   /// Starts (or extends) the tick chain: the chain keeps running at least
   /// until `active_until`, and past that for as long as cuts, suspicions
-  /// or misses persist. Exclusive context only (the fault layer arms
-  /// between epochs).
-  // detlint:requires(exclusive)
+  /// or misses persist.
   void Arm(SimTime active_until);
 
   void set_heartbeat_loss(HeartbeatLossFn fn) { loss_ = std::move(fn); }
@@ -75,9 +73,7 @@ class FailureDetector {
   std::string DebugString() const;
 
  private:
-  /// One heartbeat round. Scheduled on the control lane, so it runs in
-  /// the exclusive slice of its epoch.
-  // detlint:runs(exclusive)
+  /// One heartbeat round.
   void Tick();
   void EnsureSize(int num_nodes);
   bool Responsive(NodeId node) const;

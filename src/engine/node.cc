@@ -3,6 +3,6 @@
 namespace hermes::engine {
 
 Node::Node(NodeId id, sim::Simulator* sim, int num_workers)
-    : id_(id), workers_(sim, num_workers, /*lane=*/static_cast<int>(id)) {}
+    : id_(id), workers_(sim, num_workers) {}
 
 }  // namespace hermes::engine

@@ -29,9 +29,6 @@ class Node {
   storage::LockManager& locks() { return locks_; }
   storage::UndoLog& undo() { return undo_; }
   sim::WorkerPool& workers() { return workers_; }
-  /// Reused output buffer for this node's lock calls (see GrantScratch in
-  /// executor.cc). Per node, because node lanes release concurrently.
-  std::vector<TxnId>& grant_scratch() { return grant_scratch_; }
 
  private:
   NodeId id_;
@@ -39,7 +36,6 @@ class Node {
   storage::LockManager locks_;
   storage::UndoLog undo_;
   sim::WorkerPool workers_;
-  std::vector<TxnId> grant_scratch_;
 };
 
 }  // namespace hermes::engine

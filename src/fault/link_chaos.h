@@ -13,10 +13,10 @@ namespace hermes::fault {
 /// Seeded per-message chaos source. Install()ed into a sim::Network, it is
 /// consulted once per inter-node Send. Each draw is a *pure function* of
 /// (seed, src, dst, link sequence number): there is no shared RNG stream
-/// to advance, so draws are identical no matter how sends from different
-/// node lanes interleave in real time — the perturbation history is a pure
-/// function of (config, seed, per-link message order), which the network
-/// keeps total.
+/// to advance, so one link's draws do not depend on how other links'
+/// traffic interleaves — the perturbation history is a pure function of
+/// (config, seed, per-link message order), which the network keeps
+/// total.
 ///
 /// Gray failures (DESIGN.md §5 "Partitions & failure detection") are a
 /// window in virtual time during which every link touching one victim

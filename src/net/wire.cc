@@ -34,11 +34,6 @@ void DelayHistogram::Record(SimTime delay_us) {
   ++count_;
 }
 
-void DelayHistogram::Merge(const DelayHistogram& other) {
-  for (size_t b = 0; b < buckets_.size(); ++b) buckets_[b] += other.buckets_[b];
-  count_ += other.count_;
-}
-
 SimTime DelayHistogram::Percentile(double q) const {
   if (count_ == 0) return 0;
   const auto target =
@@ -71,26 +66,11 @@ Wire::Wire(sim::Simulator* sim, sim::Network* network, const CostModel* costs,
   GrowLinks(num_nodes);
 }
 
-uint64_t Wire::Sum(const std::vector<uint64_t>& row) {
-  uint64_t total = 0;
-  for (uint64_t v : row) total += v;
-  return total;
-}
-
 void Wire::GrowLinks(int num_nodes) {
-  assert(!sim_->in_lane_context() &&
-         "link growth must happen in exclusive context");
   const size_t n = static_cast<size_t>(num_nodes);
   if (links_.size() >= n) return;
   for (auto& row : links_) row.resize(n);
   while (links_.size() < n) links_.emplace_back(n);
-  envelopes_sent_.resize(n, 0);
-  coalesced_messages_.resize(n, 0);
-  credit_stalls_.resize(n, 0);
-  for (int c = 0; c < kNumTrafficClasses; ++c) {
-    transmits_[c].resize(n, 0);
-    queue_delay_[c].resize(n);
-  }
 }
 
 SimTime Wire::SerializationTime(uint64_t wire_bytes) const {
@@ -116,11 +96,6 @@ void Wire::Send(NodeId src, NodeId dst, uint64_t payload_bytes,
                 TrafficClass cls, sim::Task on_delivery) {
   assert(src >= 0 && src < static_cast<NodeId>(links_.size()));
   assert(dst >= 0 && dst < static_cast<NodeId>(links_.size()));
-  // Link state is row `src`: only that node's lane (or the exclusive
-  // slice) may touch it — the same ownership rule as Network::Send.
-  assert((!sim_->in_lane_context() ||
-          sim_->current_lane() == static_cast<int>(src)) &&
-         "Wire::Send must run on the source node's lane or exclusively");
   if (!config_->enabled || src == dst) {
     net_->Send(src, dst, payload_bytes, std::move(on_delivery), cls);
     return;
@@ -158,13 +133,12 @@ void Wire::AppendEnvelope(NodeId src, NodeId dst, uint64_t payload_bytes,
     // something else (size cap, link cut) sealed it first — the
     // generation check makes a stale timer a no-op.
     const uint64_t gen = link.env_gen;
-    sim_->ScheduleOnLane(static_cast<int>(src), config_->coalesce_window_us,
-                         [this, src, dst, gen]() {
-                           Link& l = links_[src][dst];
-                           if (!l.env_open || l.env_gen != gen) return;
-                           FlushEnvelope(src, dst);
-                           Pump(src, dst);
-                         });
+    sim_->Schedule(config_->coalesce_window_us, [this, src, dst, gen]() {
+      Link& l = links_[src][dst];
+      if (!l.env_open || l.env_gen != gen) return;
+      FlushEnvelope(src, dst);
+      Pump(src, dst);
+    });
   }
   link.env_bytes += payload_bytes;
   ++link.env_msgs;
@@ -181,8 +155,8 @@ void Wire::FlushEnvelope(NodeId src, NodeId dst) {
   if (!link.env_open) return;
   link.env_open = false;
   ++link.env_gen;  // invalidate the pending window timer
-  envelopes_sent_[src] += 1;
-  coalesced_messages_[src] += link.env_msgs;
+  envelopes_sent_ += 1;
+  coalesced_messages_ += link.env_msgs;
   Pending p;
   p.cls = TrafficClass::kBulk;
   p.payload_bytes = link.env_bytes;
@@ -200,8 +174,7 @@ void Wire::Pump(NodeId src, NodeId dst) {
   const SimTime now = sim_->Now();
   const SimTime start = std::max(now, link.busy_until);
   link.timer_armed = true;
-  sim_->ScheduleOnLane(static_cast<int>(src), start - now,
-                       [this, src, dst]() { TransmitNext(src, dst); });
+  sim_->Schedule(start - now, [this, src, dst]() { TransmitNext(src, dst); });
 }
 
 void Wire::TransmitNext(NodeId src, NodeId dst) {
@@ -213,8 +186,8 @@ void Wire::TransmitNext(NodeId src, NodeId dst) {
     // The serializer advanced past this timer (an earlier transmission was
     // scheduled after it was armed); try again when it frees up.
     link.timer_armed = true;
-    sim_->ScheduleOnLane(static_cast<int>(src), link.busy_until - now,
-                         [this, src, dst]() { TransmitNext(src, dst); });
+    sim_->Schedule(link.busy_until - now,
+                   [this, src, dst]() { TransmitNext(src, dst); });
     return;
   }
 
@@ -245,37 +218,33 @@ void Wire::TransmitNext(NodeId src, NodeId dst) {
   }
   if (chosen >= link.queue.size()) {
     // Queue non-empty but nothing fits the credit window: outstanding is
-    // necessarily non-zero, so a delivery (and its deferred credit
-    // return) is in flight and will re-pump this link.
-    ++credit_stalls_[src];
+    // necessarily non-zero, so a delivery (and its credit return) is in
+    // flight and will re-pump this link.
+    ++credit_stalls_;
     return;
   }
 
   Pending p = std::move(link.queue[chosen]);
   link.queue.erase(link.queue.begin() + static_cast<long>(chosen));
   const uint64_t wire_bytes = p.payload_bytes + costs_->message_overhead_bytes;
-  queue_delay_[static_cast<int>(p.cls)][src].Record(now - p.enqueued);
-  ++transmits_[static_cast<int>(p.cls)][src];
+  queue_delay_[static_cast<int>(p.cls)].Record(now - p.enqueued);
+  ++transmits_[static_cast<int>(p.cls)];
   link.outstanding += wire_bytes;
   ++link.wrr_slot;
   const SimTime ser = SerializationTime(wire_bytes);
   link.busy_until = now + ser;
 
-  // Envelope callbacks run in append order on the destination lane; the
-  // credit return touches this (source) row, so it rides the barrier.
+  // Envelope callbacks run in append order, then the credit returns.
   net_->Send(src, dst, p.payload_bytes,
              [this, src, dst, wire_bytes, cbs = std::move(p.cbs)]() mutable {
                for (auto& cb : cbs) cb();
-               sim_->Defer([this, src, dst, wire_bytes]() {
-                 ReturnCredit(src, dst, wire_bytes);
-               });
+               ReturnCredit(src, dst, wire_bytes);
              },
              p.cls);
 
   if (!link.queue.empty()) {
     link.timer_armed = true;
-    sim_->ScheduleOnLane(static_cast<int>(src), ser,
-                         [this, src, dst]() { TransmitNext(src, dst); });
+    sim_->Schedule(ser, [this, src, dst]() { TransmitNext(src, dst); });
   }
 }
 
@@ -287,8 +256,6 @@ void Wire::ReturnCredit(NodeId src, NodeId dst, uint64_t wire_bytes) {
 }
 
 void Wire::OnLinkCut(NodeId src, NodeId dst) {
-  assert(!sim_->in_lane_context() &&
-         "queue drain into the pen must happen in exclusive context");
   Link& link = links_[src][dst];
   FlushEnvelope(src, dst);
   // Drain the transmit queue FIFO into the Network: each Send parks in the
@@ -316,14 +283,6 @@ uint64_t Wire::queued_now() const {
     }
   }
   return total;
-}
-
-DelayHistogram Wire::MergedQueueDelay(TrafficClass cls) const {
-  DelayHistogram merged;
-  for (const DelayHistogram& h : queue_delay_[static_cast<int>(cls)]) {
-    merged.Merge(h);
-  }
-  return merged;
 }
 
 }  // namespace hermes::net

@@ -22,8 +22,6 @@ class DelayHistogram {
   DelayHistogram();
 
   void Record(SimTime delay_us);
-  /// Adds `other`'s buckets into this histogram (read-side row merge).
-  void Merge(const DelayHistogram& other);
 
   uint64_t count() const { return count_; }
   /// Delay at quantile `q` in [0, 1] (bucket upper bound); 0 when empty.
@@ -60,10 +58,7 @@ class DelayHistogram {
 ///
 /// Determinism: every queueing, scheduling and coalescing decision is a
 /// pure function of (config, the totally ordered per-link send sequence,
-/// virtual time) — never wall clock, never hash order, never thread count.
-/// All per-link state is per-source rows under the lane model: row `src`
-/// is touched only by node src's lane or the exclusive slice. Credit
-/// returns cross lanes, so they ride Simulator::Defer() to the barrier.
+/// virtual time) — never wall clock, never hash order.
 ///
 /// With `config.net.enabled == false` every Send degenerates to a direct
 /// sim::Network::Send and the substrate is digest-invisible.
@@ -75,9 +70,8 @@ class Wire {
   Wire(const Wire&) = delete;
   Wire& operator=(const Wire&) = delete;
 
-  /// Sends `payload_bytes` from `src` to `dst`; `on_delivery` runs on node
-  /// `dst`'s lane after queueing + serialization + propagation. May be
-  /// called from `src`'s lane or from exclusive context. Self-sends and
+  /// Sends `payload_bytes` from `src` to `dst`; `on_delivery` runs after
+  /// queueing + serialization + propagation. Self-sends and
   /// sends into a cut link bypass the queue (the latter park in the
   /// Network's holding pen; the queue was already flushed into the pen by
   /// OnLinkCut, so per-link FIFO order is preserved end-to-end).
@@ -90,35 +84,36 @@ class Wire {
   /// holding pen with its perturbation drawn at drain time (send-time
   /// semantics), and HealLink later re-measures serialization from the
   /// heal point. Drained messages never charged credits, so their
-  /// deliveries return none. Exclusive context only.
-  // detlint:requires(exclusive)
+  /// deliveries return none.
   void OnLinkCut(NodeId src, NodeId dst);
 
-  /// Grows per-link state when nodes are added by dynamic provisioning.
-  /// Exclusive context only (asserted), also called at construction.
+  /// Grows per-link state when nodes are added by dynamic provisioning
+  /// (also called at construction).
   void GrowLinks(int num_nodes);
 
-  // --- Read-side telemetry (sum / merge per-source rows). ---
+  // --- Read-side telemetry. ---
 
   /// Bulk envelopes sealed onto transmit queues.
-  uint64_t envelopes_sent() const { return Sum(envelopes_sent_); }
+  uint64_t envelopes_sent() const { return envelopes_sent_; }
   /// Bulk messages that rode an envelope (>= envelopes_sent(); the
   /// difference is the number of framing headers coalescing saved).
-  uint64_t coalesced_messages() const { return Sum(coalesced_messages_); }
+  uint64_t coalesced_messages() const { return coalesced_messages_; }
   /// Messages transmitted through the bounded path, per class.
   uint64_t transmits(TrafficClass cls) const {
-    return Sum(transmits_[static_cast<int>(cls)]);
+    return transmits_[static_cast<int>(cls)];
   }
   /// Times a transmitter went idle with a non-empty queue because no
   /// queued message fit the link's credit window.
-  uint64_t credit_stalls() const { return Sum(credit_stalls_); }
+  uint64_t credit_stalls() const { return credit_stalls_; }
   /// Messages currently sitting in transmit queues (open envelopes count
-  /// their appended messages). Exclusive-context read.
+  /// their appended messages).
   uint64_t queued_now() const;
 
-  /// Merged queueing-delay histogram for `cls` (delay between enqueue and
-  /// the serializer accepting the message). Exclusive-context read.
-  DelayHistogram MergedQueueDelay(TrafficClass cls) const;
+  /// Queueing-delay histogram for `cls` (delay between enqueue and the
+  /// serializer accepting the message).
+  const DelayHistogram& QueueDelay(TrafficClass cls) const {
+    return queue_delay_[static_cast<int>(cls)];
+  }
 
  private:
   /// One queued transmission: a single message, or a sealed envelope
@@ -127,12 +122,11 @@ class Wire {
     TrafficClass cls = TrafficClass::kForeground;
     uint64_t payload_bytes = 0;
     SimTime enqueued = 0;
-    /// Delivery callbacks, run in append order on the destination lane.
+    /// Delivery callbacks, run in append order.
     std::vector<sim::Task> cbs;
   };
 
-  /// Per-directed-link state. links_[src][dst]: row `src` is owned by
-  /// node src's lane (or the exclusive slice).
+  /// Per-directed-link state, links_[src][dst].
   struct Link {
     std::deque<Pending> queue;
     /// Virtual time the serializer frees up.
@@ -153,8 +147,6 @@ class Wire {
     std::vector<sim::Task> env_cbs;
   };
 
-  static uint64_t Sum(const std::vector<uint64_t>& row);
-
   /// Serializer occupancy of one wire message, in virtual microseconds.
   SimTime SerializationTime(uint64_t wire_bytes) const;
   /// True when the credit window admits `wire_bytes` more outstanding
@@ -163,7 +155,7 @@ class Wire {
 
   /// Appends one bulk payload to the link's open envelope (opening one and
   /// arming the window-flush timer if needed; sealing early on the size
-  /// cap). Runs on src's lane or exclusively.
+  /// cap).
   void AppendEnvelope(NodeId src, NodeId dst, uint64_t payload_bytes,
                       sim::Task on_delivery);
   /// Seals the open envelope (if any) onto the transmit queue.
@@ -171,12 +163,10 @@ class Wire {
   /// Arms the transmit timer if the queue is non-empty and none is armed.
   void Pump(NodeId src, NodeId dst);
   /// Timer body: picks the next admissible message by the two-class
-  /// weighted schedule and hands it to the Network. Runs on src's lane.
+  /// weighted schedule and hands it to the Network.
   void TransmitNext(NodeId src, NodeId dst);
   /// Returns `wire_bytes` of credit after a delivery and re-pumps the
-  /// link. Deferred to the barrier by the delivery callback (it fires on
-  /// the destination lane; link state is the source's row).
-  // detlint:requires(exclusive)
+  /// link.
   void ReturnCredit(NodeId src, NodeId dst, uint64_t wire_bytes);
 
   sim::Simulator* sim_;
@@ -186,14 +176,12 @@ class Wire {
   /// Deques: growing them never relocates a Link (its transmit deque has
   /// no non-throwing move, and Tasks cannot be copied).
   std::deque<std::deque<Link>> links_;
-  /// Per-source counter rows (row `n` written only by node n's lane or
-  /// the exclusive slice; totals summed on read).
-  std::vector<uint64_t> envelopes_sent_;
-  std::vector<uint64_t> coalesced_messages_;
-  std::vector<uint64_t> transmits_[kNumTrafficClasses];
-  std::vector<uint64_t> credit_stalls_;
-  /// Per-source, per-class queueing-delay histograms, merged on read.
-  std::vector<DelayHistogram> queue_delay_[kNumTrafficClasses];
+  uint64_t envelopes_sent_ = 0;
+  uint64_t coalesced_messages_ = 0;
+  uint64_t transmits_[kNumTrafficClasses] = {};
+  uint64_t credit_stalls_ = 0;
+  /// Per-class queueing-delay histograms.
+  DelayHistogram queue_delay_[kNumTrafficClasses];
 };
 
 }  // namespace hermes::net

@@ -113,8 +113,7 @@ struct TraceRing {
   uint64_t dropped = 0;   ///< events overwritten after the ring filled
   uint64_t next_seq = 0;  ///< ring-local emission sequence
   /// Order-sensitive digest of every enabled-mode event emitted into this
-  /// ring. Per-ring state keeps emission fully lane-local under the
-  /// parallel simulator; Tracer::digest() folds the rings in index order.
+  /// ring; Tracer::digest() folds the rings in index order.
   DecisionDigest digest;
 
  private:
@@ -142,18 +141,13 @@ class Tracer {
   /// Sets the per-ring capacity (events per node) and, when `num_nodes` is
   /// non-zero, pre-sizes the rings (ring 0 plus one per node). Must be
   /// called before the first Record(); existing rings are discarded.
-  /// Pre-sizing matters under the parallel simulator: lane-side Record()
-  /// calls index into `rings_` concurrently, so the vector must not grow
-  /// from a lane. EnsureNode() grows it from exclusive context.
   void Configure(size_t ring_capacity, size_t num_nodes = 0);
 
-  /// Grows the ring set to cover `node` (exclusive context only — used by
-  /// dynamic provisioning before the new node's lane runs).
+  /// Grows the ring set to cover `node` (dynamic provisioning).
   void EnsureNode(NodeId node) { RingFor(node); }
 
   /// Points the tracer at the simulator's virtual clock. The tracer only
-  /// ever reads through this function (passivity). Function-valued so the
-  /// parallel simulator can hand out its lane-aware clock.
+  /// ever reads through this function (passivity).
   void set_clock(std::function<SimTime()> now) { now_ = std::move(now); }
 
   /// Convenience overload for tests driving a raw SimTime variable.
@@ -187,8 +181,7 @@ class Tracer {
   /// order-sensitive digest (full event — kind, when, dur, node, txn, key,
   /// arg — mixed per Record()), and this folds the per-ring digests in
   /// ring-index order (= deterministic node order). A match means the
-  /// traced runs saw identical per-node histories, independent of how lane
-  /// events interleaved in real time.
+  /// traced runs saw identical per-node histories.
   DecisionDigest digest() const;
 
   /// Ring 0 = cluster scope (node == kInvalidNode); ring i+1 = node i.

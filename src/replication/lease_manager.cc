@@ -101,7 +101,7 @@ void LeaseManager::ApplyCopy(NodeId node, Key key,
       std::binary_search(hit->second.begin(), hit->second.end(), node);
   if (!active) {
     // Revoked or lapsed while the snapshot was on the wire.
-    ++shard.stale_drops;
+    ++stale_drops_;
     return;
   }
   auto it = shard.copies.find(key);
@@ -111,9 +111,9 @@ void LeaseManager::ApplyCopy(NodeId node, Key key,
     it->second = record;
   }
   if (install) {
-    ++shard.installs;
+    ++installs_;
   } else {
-    ++shard.updates;
+    ++updates_;
   }
   HERMES_TRACE(tracer_,
                install ? obs::EventKind::kReplicaInstall
@@ -190,24 +190,6 @@ void LeaseManager::CorruptCopyForTest(NodeId node, Key key) {
   NodeShard& shard = Shard(node);
   const auto it = shard.copies.find(key);
   if (it != shard.copies.end()) it->second.value ^= 0xDEADBEEF;
-}
-
-uint64_t LeaseManager::installs() const {
-  uint64_t n = 0;
-  for (const NodeShard& s : shards_) n += s.installs;
-  return n;
-}
-
-uint64_t LeaseManager::updates() const {
-  uint64_t n = 0;
-  for (const NodeShard& s : shards_) n += s.updates;
-  return n;
-}
-
-uint64_t LeaseManager::stale_drops() const {
-  uint64_t n = 0;
-  for (const NodeShard& s : shards_) n += s.stale_drops;
-  return n;
 }
 
 size_t LeaseManager::num_copies() const {

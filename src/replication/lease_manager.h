@@ -26,22 +26,11 @@ namespace hermes::replication {
 /// — so the final copy state is independent of message arrival order
 /// (chaos timing, duplicates and re-grants all converge to the newest
 /// committed version).
-///
-/// Lane discipline (the parallel simulator's confinement rules):
-///  - `holders_` is written only in exclusive context (BeginInstall /
-///    Revoke / LapseNode / LapseAll run from dispatch or membership
-///    transitions) and read lane-side (commit fan-out, ApplyCopy's
-///    staleness check) — the epoch barrier serializes writers, the same
-///    pattern the executor uses for its in-flight table.
-///  - Each per-node shard (copies + waiters) is touched only by that
-///    node's lane (ApplyCopy, WaitCopies, CopyPresent) or by exclusive
-///    context; those never overlap.
 class LeaseManager {
  public:
   explicit LeaseManager(int num_nodes) { shards_.resize(num_nodes); }
 
-  /// Grows the shard set to cover `node` (provisioning; exclusive context
-  /// only — the vector must not reallocate under running lanes).
+  /// Grows the shard set to cover `node` (provisioning).
   void EnsureNode(NodeId node) {
     const size_t idx = static_cast<size_t>(node);
     if (idx >= shards_.size()) shards_.resize(idx + 1);
@@ -50,30 +39,26 @@ class LeaseManager {
   /// Registers `holder` as a lease holder of `key`. Runs at dispatch of
   /// the routed kInstall op, before the copy itself is shipped (`source`
   /// only feeds the trace event).
-  // detlint:requires(exclusive)
   void BeginInstall(Key key, NodeId holder, NodeId source);
 
   /// Drops `holder`'s lease on `key` (routed kRevoke op): the copy is
   /// discarded and any master still waiting on it is woken — a revoked
   /// read degrades to the plain local read it would have been without the
   /// lease, so nothing ever blocks on a copy that will not arrive.
-  // detlint:requires(exclusive)
   void Revoke(Key key, NodeId holder);
 
   /// Crash/rejoin lapse of one node: every lease it holds is dropped and
   /// its waiters are woken. Called at membership transitions (live and
   /// replayed), keeping the engine state a pure function of the membership
   /// schedule.
-  // detlint:requires(exclusive)
   void LapseNode(NodeId node);
 
   /// Drops every lease, copy and waiter (membership transition or
   /// checkpoint restore). The router's LeaseTable lapses on the same
   /// schedule, so both sides re-grant identically from the batch stream.
-  // detlint:requires(exclusive)
   void LapseAll();
 
-  /// Applies a copy snapshot on `node`'s own lane (network delivery).
+  /// Applies a copy snapshot at `node` (network delivery).
   /// Stale copies — the lease was revoked or lapsed while the snapshot
   /// was on the wire — are counted and dropped.
   void ApplyCopy(NodeId node, Key key, const storage::Record& record,
@@ -82,9 +67,8 @@ class LeaseManager {
   /// True iff `node` currently has a materialized copy of `key`.
   bool CopyPresent(NodeId node, Key key) const;
 
-  /// Sorted holder set of `key`, or nullptr when unleased. Lane-safe read
-  /// (see class comment); the pointer is stable until the next exclusive
-  /// mutation of the same key's entry.
+  /// Sorted holder set of `key`, or nullptr when unleased; the pointer is
+  /// stable until the next mutation of the same key's entry.
   const std::vector<NodeId>* HoldersOf(Key key) const;
 
   /// Calls `ready` once every key either has a copy at `node` or is no
@@ -107,9 +91,9 @@ class LeaseManager {
   /// something to catch.
   void CorruptCopyForTest(NodeId node, Key key);
 
-  uint64_t installs() const;
-  uint64_t updates() const;
-  uint64_t stale_drops() const;
+  uint64_t installs() const { return installs_; }
+  uint64_t updates() const { return updates_; }
+  uint64_t stale_drops() const { return stale_drops_; }
   uint64_t revokes() const { return revokes_; }
   uint64_t lapses() const { return lapses_; }
   size_t num_copies() const;
@@ -126,21 +110,21 @@ class LeaseManager {
     /// free (checksums, snapshots and diagnostics need no collect-and-sort).
     std::map<Key, storage::Record> copies;
     std::map<Key, std::vector<std::function<void()>>> waiters;
-    uint64_t installs = 0;
-    uint64_t updates = 0;
-    uint64_t stale_drops = 0;
   };
 
   NodeShard& Shard(NodeId node) { return shards_[static_cast<size_t>(node)]; }
   const NodeShard& Shard(NodeId node) const {
     return shards_[static_cast<size_t>(node)];
   }
-  /// Drops node's copy of key and wakes its waiters (exclusive context).
+  /// Drops node's copy of key and wakes its waiters.
   void DropCopy(NodeId node, Key key);
 
-  /// key -> sorted holder node ids. Exclusive-written, lane-read.
+  /// key -> sorted holder node ids.
   std::map<Key, std::vector<NodeId>> holders_;
   std::vector<NodeShard> shards_;
+  uint64_t installs_ = 0;
+  uint64_t updates_ = 0;
+  uint64_t stale_drops_ = 0;
   uint64_t revokes_ = 0;
   uint64_t lapses_ = 0;
   obs::Tracer* tracer_ = nullptr;

@@ -21,18 +21,13 @@ void EventQueue::Push(SimTime when, Task fn, Prelude pre) {
 }
 
 EventQueue::Popped EventQueue::Pop() {
-  Popped out = PopEntry();
-  if (digest_ != nullptr) {
-    digest_->Mix(out.when);
-    digest_->Mix(out.seq);
-  }
-  return out;
-}
-
-EventQueue::Popped EventQueue::PopEntry() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   const Key top = heap_.back();
   heap_.pop_back();
+  if (digest_ != nullptr) {
+    digest_->Mix(top.when);
+    digest_->Mix(top.seq);
+  }
   Node& node = slab_[top.slot];
   Popped out{top.when, top.seq, node.pre, std::move(node.fn)};
   free_slots_.push_back(top.slot);

@@ -10,7 +10,7 @@
 
 namespace hermes::sim {
 
-/// Side work an event runs on its own lane just before its Task: a plain
+/// Side work an event runs just before its Task: a plain
 /// function and two words, stored in the event node instead of captured.
 /// sim::Network charges receive-side counters through it, so a delivery
 /// keeps the caller's Task as it is rather than wrapping it in a second
@@ -51,11 +51,9 @@ class EventQueue {
   /// Timestamp of the earliest pending event. Requires !empty().
   SimTime NextTime() const { return heap_.front().when; }
 
-  /// One dequeued event plus its ordering key. `seq` is this queue's own
-  /// insertion sequence — for the simulator's lane queues it is the
-  /// lane-local component of the global (time, lane, seq) total order.
-  /// The Task is moved out of the slab, so firing it may push (and grow
-  /// the slab) freely.
+  /// One dequeued event plus its ordering key (`seq` is the insertion
+  /// sequence that breaks timestamp ties). The Task is moved out of the
+  /// slab, so firing it may push (and grow the slab) freely.
   struct Popped {
     SimTime when;
     uint64_t seq;
@@ -72,11 +70,6 @@ class EventQueue {
   /// Removes and returns the earliest pending event, mixing its (when,
   /// seq) pair into the attached digest. Requires !empty().
   Popped Pop();
-
-  /// Removes and returns the earliest pending event with its ordering key,
-  /// without touching the attached digest (the caller owns transcript
-  /// mixing). Requires !empty().
-  Popped PopEntry();
 
   /// Sequence number the next Push() will receive (diagnostics).
   uint64_t next_seq() const { return next_seq_; }

@@ -8,19 +8,6 @@ namespace hermes::sim {
 
 Network::Network(Simulator* sim, const CostModel* costs, int num_nodes)
     : sim_(sim), costs_(costs) {
-  // Register every per-node counter row and per-link matrix once;
-  // EnsureCapacity grows the registered lists so a counter added here can
-  // never be missed by a resize site.
-  counter_rows_ = {&bytes_sent_,      &messages_sent_,
-                   &messages_dropped_, &messages_duplicated_,
-                   &bytes_received_,  &messages_received_,
-                   &messages_held_total_, &cut_deliveries_};
-  for (int c = 0; c < kNumTrafficClasses; ++c) {
-    counter_rows_.push_back(&class_bytes_sent_[c]);
-    counter_rows_.push_back(&class_messages_sent_[c]);
-    counter_rows_.push_back(&class_bytes_received_[c]);
-  }
-  counter_matrices_ = {&link_messages_, &send_seq_};
   EnsureCapacity(num_nodes);
 }
 
@@ -31,12 +18,14 @@ uint64_t Network::Sum(const std::vector<uint64_t>& row) {
 }
 
 void Network::EnsureCapacity(int num_nodes) {
-  assert(!sim_->in_lane_context() &&
-         "capacity growth must happen in exclusive context");
   const size_t n = static_cast<size_t>(num_nodes);
   if (bytes_sent_.size() >= n) return;
-  for (std::vector<uint64_t>* row : counter_rows_) row->resize(n, 0);
-  for (std::vector<std::vector<uint64_t>>* matrix : counter_matrices_) {
+  for (std::vector<uint64_t>* row :
+       {&bytes_sent_, &bytes_received_, &messages_received_}) {
+    row->resize(n, 0);
+  }
+  for (std::vector<std::vector<uint64_t>>* matrix :
+       {&link_messages_, &send_seq_}) {
     for (auto& row : *matrix) row.resize(n, 0);
     matrix->resize(n, std::vector<uint64_t>(n, 0));
   }
@@ -51,8 +40,6 @@ bool Network::reachable(NodeId src, NodeId dst) const {
 }
 
 void Network::CutLink(NodeId src, NodeId dst) {
-  assert(!sim_->in_lane_context() &&
-         "cuts are installed in exclusive context only");
   assert(src != dst && "a node always reaches itself");
   if (cut_[src][dst]) return;
   cut_[src][dst] = 1;
@@ -60,8 +47,6 @@ void Network::CutLink(NodeId src, NodeId dst) {
 }
 
 void Network::HealLink(NodeId src, NodeId dst) {
-  assert(!sim_->in_lane_context() &&
-         "heals are applied in exclusive context only");
   if (!cut_[src][dst]) return;
   cut_[src][dst] = 0;
   --cut_links_;
@@ -110,8 +95,8 @@ void Network::ScheduleDelivery(NodeId src, NodeId dst, uint64_t bytes,
       static_cast<uint64_t>(cls) << kReceiptClassShift |
       static_cast<uint64_t>(was_held) << kReceiptHeldShift |
       delivered << kReceiptCopiesShift;
-  sim_->ScheduleOnLane(
-      static_cast<int>(dst), wire, std::move(cb),
+  sim_->Schedule(
+      wire, std::move(cb),
       Prelude{&Network::ChargeDelivery, this, bytes * delivered, receipt});
 }
 
@@ -127,25 +112,20 @@ void Network::ChargeDelivery(void* self, uint64_t bytes_delivered,
   // A released message must never land under a still-live cut: the pen
   // only drains on heal, so a nonzero count means a release raced a
   // re-cut (the partition oracle asserts zero).
-  if (was_held && net.cut_[src][dst]) ++net.cut_deliveries_[dst];
+  if (was_held && net.cut_[src][dst]) ++net.cut_deliveries_;
   net.bytes_received_[dst] += bytes_delivered;
   net.messages_received_[dst] += delivered;
-  net.class_bytes_received_[cls][dst] += bytes_delivered;
+  net.class_bytes_received_[cls] += bytes_delivered;
 }
 
 void Network::Send(NodeId src, NodeId dst, uint64_t payload_bytes,
                    Task on_delivery, TrafficClass cls) {
   assert(src >= 0 && src < static_cast<NodeId>(bytes_sent_.size()));
   assert(dst >= 0 && dst < static_cast<NodeId>(bytes_sent_.size()));
-  // Send-side counters are row `src`: only that node's lane (or the
-  // exclusive slice) may touch them.
-  assert((!sim_->in_lane_context() ||
-          sim_->current_lane() == static_cast<int>(src)) &&
-         "Send must run on the source node's lane or exclusively");
   if (src == dst) {
     // Local hand-off: no wire bytes, no latency, but still asynchronous so
     // that callers never re-enter themselves.
-    sim_->ScheduleOnLane(static_cast<int>(dst), 0, std::move(on_delivery));
+    sim_->Schedule(0, std::move(on_delivery));
     return;
   }
   const uint64_t bytes = payload_bytes + costs_->message_overhead_bytes;
@@ -161,29 +141,28 @@ void Network::Send(NodeId src, NodeId dst, uint64_t payload_bytes,
       1 + static_cast<uint64_t>(p.dropped_attempts) +
       static_cast<uint64_t>(p.duplicates);
   bytes_sent_[src] += bytes * attempts;
-  messages_sent_[src] += attempts;
-  class_bytes_sent_[static_cast<int>(cls)][src] += bytes * attempts;
-  class_messages_sent_[static_cast<int>(cls)][src] += attempts;
+  messages_sent_ += attempts;
+  class_bytes_sent_[static_cast<int>(cls)] += bytes * attempts;
+  class_messages_sent_[static_cast<int>(cls)] += attempts;
   link_messages_[src][dst] += attempts;
-  messages_dropped_[src] += static_cast<uint64_t>(p.dropped_attempts);
-  messages_duplicated_[src] += static_cast<uint64_t>(p.duplicates);
+  messages_dropped_ += static_cast<uint64_t>(p.dropped_attempts);
+  messages_duplicated_ += static_cast<uint64_t>(p.duplicates);
 
   const SimTime wire =
       costs_->net_latency_us +
       static_cast<SimTime>(std::llround(bytes * costs_->net_us_per_byte)) +
       p.extra_delay_us;
   // Delivered copies (the real one plus dedup-suppressed duplicates) are
-  // charged to the receiver by the delivery event itself — it runs on the
-  // destination lane, which owns row `dst`.
+  // charged to the receiver by the delivery event itself.
   const uint64_t delivered = 1 + static_cast<uint64_t>(p.duplicates);
-  // A send into a live cut parks in the per-link FIFO pen (row `src`,
-  // owned by this lane) with its charges and perturbation already final;
-  // HealLink releases it. Sender-side counters above were charged as
-  // usual: the bytes left the NIC and died on the cut wire.
+  // A send into a live cut parks in the per-link FIFO pen with its
+  // charges and perturbation already final; HealLink releases it.
+  // Sender-side counters above were charged as usual: the bytes left the
+  // NIC and died on the cut wire.
   if (cut_[src][dst]) {
     held_[src][dst].push_back(
         HeldMessage{bytes, delivered, wire, cls, std::move(on_delivery)});
-    ++messages_held_total_[src];
+    ++messages_held_total_;
     return;
   }
   ScheduleDelivery(src, dst, bytes, delivered, wire, /*was_held=*/false, cls,

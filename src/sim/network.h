@@ -34,19 +34,13 @@ struct Perturbation {
 /// latency + bytes * us_per_byte; per-node byte counters feed the Fig. 8
 /// network-usage series. Messages between a node and itself are delivered
 /// after zero wire time (still asynchronously, preserving event ordering).
-///
-/// Under partitioned execution the fabric is the epoch-crossing edge: a
-/// Send may run on the source node's lane, and the delivery callback is
-/// scheduled onto the *destination* node's lane. Send-side counters are
-/// per-source rows (each touched only by its own lane or the exclusive
-/// slice); receive-side counters are charged by the delivery event on the
-/// destination lane; totals are summed on read.
+/// Receive-side counters are charged by the delivery event itself.
 class Network {
  public:
   /// Decides the perturbation for one inter-node message. Must be a pure
   /// function of (seed, src, dst, bytes, link_seq) — never of wall clock
-  /// or shared mutable state — so chaos draws are deterministic even when
-  /// source lanes send concurrently. `link_seq` is the 0-based sequence
+  /// or shared mutable state — so one link's draws do not depend on how
+  /// other links' traffic interleaves. `link_seq` is the 0-based sequence
   /// number of this message on the directed link src -> dst.
   using PerturbationFn =
       std::function<Perturbation(NodeId src, NodeId dst, uint64_t bytes,
@@ -58,9 +52,8 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   /// Sends `payload_bytes` of application payload from `src` to `dst` and
-  /// runs `on_delivery` when the message lands (on node `dst`'s lane).
-  /// Framing overhead is added to the byte count automatically. May be
-  /// called from `src`'s lane or from exclusive context. `cls` only tags
+  /// runs `on_delivery` when the message lands. Framing overhead is added
+  /// to the byte count automatically. `cls` only tags
   /// the per-class byte/message counters (Fig. 8's foreground-vs-migration
   /// split): it never changes timing or ordering at this layer — the wire
   /// substrate (src/net/) schedules classes above this fabric.
@@ -68,7 +61,6 @@ class Network {
             TrafficClass cls = TrafficClass::kForeground);
 
   /// Grows counters when nodes are added by dynamic provisioning.
-  /// Exclusive context only.
   void EnsureCapacity(int num_nodes);
 
   // --- Partitions (DESIGN.md §5 "Partitions & failure detection"). ---
@@ -80,19 +72,14 @@ class Network {
   // perturbation draw and byte charges intact — in a per-link FIFO
   // holding pen and released only by HealLink. Message existence is
   // preserved end-to-end, so record singularity and lock order survive a
-  // partition the same way they survive chaos. Cuts are installed and
-  // healed only in exclusive context (the fault layer drives them between
-  // epochs); lanes read the matrix, which is stable within an epoch.
+  // partition the same way they survive chaos.
 
-  /// Cuts the directed link src -> dst. Exclusive context only.
-  // detlint:requires(exclusive)
+  /// Cuts the directed link src -> dst.
   void CutLink(NodeId src, NodeId dst);
 
   /// Heals the directed link src -> dst and releases its holding pen in
-  /// FIFO order: each parked message is re-scheduled onto the destination
-  /// lane with its original wire time measured from now. Exclusive
-  /// context only.
-  // detlint:requires(exclusive)
+  /// FIFO order: each parked message is re-scheduled with its original
+  /// wire time measured from now.
   void HealLink(NodeId src, NodeId dst);
 
   /// False while the directed link src -> dst is cut.
@@ -102,31 +89,31 @@ class Network {
   /// Messages currently parked in holding pens.
   uint64_t messages_held() const;
   /// Cumulative messages ever parked (pen throughput).
-  uint64_t total_held() const { return Sum(messages_held_total_); }
+  uint64_t total_held() const { return messages_held_total_; }
   /// Payloads that landed while their send-time cut was STILL up. The
   /// partition oracle requires this to stay zero: a held message may only
   /// deliver after its heal.
-  uint64_t cut_deliveries() const { return Sum(cut_deliveries_); }
+  uint64_t cut_deliveries() const { return cut_deliveries_; }
 
   /// Installs (or clears, with nullptr) the fault-injection hook consulted
   /// for every inter-node message.
   void set_perturbation(PerturbationFn fn) { perturb_ = std::move(fn); }
 
   uint64_t total_bytes() const { return Sum(bytes_sent_); }
-  uint64_t total_messages() const { return Sum(messages_sent_); }
+  uint64_t total_messages() const { return messages_sent_; }
   uint64_t bytes_sent(NodeId node) const { return bytes_sent_[node]; }
 
   /// Wire bytes sent (all attempts) carrying messages of `cls`.
   uint64_t class_bytes_sent(TrafficClass cls) const {
-    return Sum(class_bytes_sent_[static_cast<int>(cls)]);
+    return class_bytes_sent_[static_cast<int>(cls)];
   }
   /// Wire messages sent (all attempts) carrying messages of `cls`.
   uint64_t class_messages_sent(TrafficClass cls) const {
-    return Sum(class_messages_sent_[static_cast<int>(cls)]);
+    return class_messages_sent_[static_cast<int>(cls)];
   }
   /// Wire bytes delivered carrying messages of `cls`.
   uint64_t class_bytes_received(TrafficClass cls) const {
-    return Sum(class_bytes_received_[static_cast<int>(cls)]);
+    return class_bytes_received_[static_cast<int>(cls)];
   }
 
   /// Bytes successfully delivered to `node` (equals the send-side count
@@ -144,9 +131,9 @@ class Network {
   }
 
   /// Wire attempts lost to fault injection (each was retransmitted).
-  uint64_t messages_dropped() const { return Sum(messages_dropped_); }
+  uint64_t messages_dropped() const { return messages_dropped_; }
   /// Redundant duplicate deliveries suppressed by transport dedup.
-  uint64_t messages_duplicated() const { return Sum(messages_duplicated_); }
+  uint64_t messages_duplicated() const { return messages_duplicated_; }
 
  private:
   /// One parked message: everything the delivery closure needs, with the
@@ -161,60 +148,44 @@ class Network {
   };
 
   static uint64_t Sum(const std::vector<uint64_t>& row);
-  /// Schedules `cb` on `dst`'s lane after `wire`. The receive-side charge
-  /// rides the event node as a Prelude, so `cb` is scheduled unwrapped.
+  /// Schedules `cb` after `wire`. The receive-side charge rides the event
+  /// node as a Prelude, so `cb` is scheduled unwrapped.
   void ScheduleDelivery(NodeId src, NodeId dst, uint64_t bytes,
                         uint64_t delivered, SimTime wire, bool was_held,
                         TrafficClass cls, Task cb);
-  /// Prelude body of a delivery: charges `dst`'s receive-side rows (it
-  /// runs on the destination lane) and checks the cut oracle. `receipt`
-  /// packs (src, dst, class, was_held, delivered copies).
+  /// Prelude body of a delivery: charges the receive-side counters and
+  /// checks the cut oracle. `receipt` packs (src, dst, class, was_held,
+  /// delivered copies).
   static void ChargeDelivery(void* self, uint64_t bytes_delivered,
                              uint64_t receipt);
 
-  /// Every per-node counter row and per-link matrix, grown in one place so
-  /// a new counter cannot be forgotten by one of the resize sites (they
-  /// used to be five hand-copied resize stanzas). Rows are registered once
-  /// in the constructor; EnsureCapacity walks the lists.
-  std::vector<std::vector<uint64_t>*> counter_rows_;
-  std::vector<std::vector<std::vector<uint64_t>>*> counter_matrices_;
-
   Simulator* sim_;
   const CostModel* costs_;
-  /// All send-side state is per-source rows: row `n` is written only by
-  /// node n's lane (or the exclusive slice), so concurrent sends from
-  /// different lanes never share a counter.
+  /// Per-node rows (row = sending or receiving node) feed Fig. 8.
   std::vector<uint64_t> bytes_sent_;
-  std::vector<uint64_t> messages_sent_;
-  std::vector<uint64_t> messages_dropped_;
-  std::vector<uint64_t> messages_duplicated_;
+  std::vector<uint64_t> bytes_received_;
+  std::vector<uint64_t> messages_received_;
+  uint64_t messages_sent_ = 0;
+  uint64_t messages_dropped_ = 0;
+  uint64_t messages_duplicated_ = 0;
   /// link_messages_[src][dst]: wire attempts on the directed link.
   std::vector<std::vector<uint64_t>> link_messages_;
   /// send_seq_[src][dst]: messages initiated on the directed link; feeds
   /// the perturbation hook its per-link sequence number.
   std::vector<std::vector<uint64_t>> send_seq_;
-  /// Per-class send-side rows (row = source node, same ownership rule as
-  /// bytes_sent_), indexed by TrafficClass.
-  std::vector<uint64_t> class_bytes_sent_[kNumTrafficClasses];
-  std::vector<uint64_t> class_messages_sent_[kNumTrafficClasses];
-  /// Receive-side rows, charged by the delivery event on the destination
-  /// lane (row `n` written only by node n's lane or the exclusive slice).
-  std::vector<uint64_t> bytes_received_;
-  std::vector<uint64_t> messages_received_;
-  /// Per-class receive-side rows (row = destination node).
-  std::vector<uint64_t> class_bytes_received_[kNumTrafficClasses];
-  /// cut_[src][dst] != 0 while the directed link is cut. Mutated only in
-  /// exclusive context; lanes read it (stable within an epoch).
+  /// Per-class counters, indexed by TrafficClass.
+  uint64_t class_bytes_sent_[kNumTrafficClasses] = {};
+  uint64_t class_messages_sent_[kNumTrafficClasses] = {};
+  uint64_t class_bytes_received_[kNumTrafficClasses] = {};
+  /// cut_[src][dst] != 0 while the directed link is cut.
   std::vector<std::vector<uint8_t>> cut_;
   int cut_links_ = 0;
-  /// held_[src][dst]: FIFO holding pen. Row `src` is pushed by src's lane
-  /// on Send and flushed by HealLink in exclusive context.
-  /// A pen only ever drains whole (HealLink), so a vector is its FIFO.
+  /// held_[src][dst]: FIFO holding pen, filled by Send and flushed whole
+  /// by HealLink, so a vector is its FIFO.
   std::vector<std::vector<std::vector<HeldMessage>>> held_;
-  std::vector<uint64_t> messages_held_total_;  ///< per-source row
-  /// Charged by the delivery event (destination lane) when a held message
-  /// lands under a still-live cut — must stay zero.
-  std::vector<uint64_t> cut_deliveries_;
+  uint64_t messages_held_total_ = 0;
+  /// Held messages that landed under a still-live cut — must stay zero.
+  uint64_t cut_deliveries_ = 0;
   PerturbationFn perturb_;
 };
 

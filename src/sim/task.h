@@ -161,9 +161,7 @@ Task InlineTask(F&& f) {
 
 /// A free-list slab that parks a continuation's payload while an event is
 /// pending, so the event itself captures only a slot index and stays
-/// inline. Slots are recycled; a warmed-up slab allocates nothing. Not
-/// thread-safe: callers confine one slab to one lane or to exclusive
-/// context.
+/// inline. Slots are recycled; a warmed-up slab allocates nothing.
 template <typename T>
 class SlotPool {
  public:

@@ -5,8 +5,8 @@
 
 namespace hermes::sim {
 
-WorkerPool::WorkerPool(Simulator* sim, int num_workers, int lane)
-    : sim_(sim), lane_(lane), busy_until_(std::max(num_workers, 1), 0) {}
+WorkerPool::WorkerPool(Simulator* sim, int num_workers)
+    : sim_(sim), busy_until_(std::max(num_workers, 1), 0) {}
 
 SimTime WorkerPool::Submit(SimTime duration, Task done) {
   // Pick the worker that frees up first (lowest index on ties).
@@ -18,9 +18,7 @@ SimTime WorkerPool::Submit(SimTime duration, Task done) {
   const SimTime end = start + duration;
   busy_until_[best] = end;
   busy_us_ += duration;
-  // Completions land on the owning node's lane no matter which lane (or
-  // the control slice) submitted the job.
-  sim_->ScheduleOnLaneAt(lane_, end, std::move(done));
+  sim_->ScheduleAt(end, std::move(done));
   return start;
 }
 

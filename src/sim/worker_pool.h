@@ -15,10 +15,7 @@ namespace hermes::sim {
 /// metric (Fig. 8).
 class WorkerPool {
  public:
-  /// `lane` is the simulator lane job completions fire on — the owning
-  /// node's lane under partitioned execution (kControlLane, the default,
-  /// keeps standalone pools on the exclusive queue).
-  WorkerPool(Simulator* sim, int num_workers, int lane = kControlLane);
+  WorkerPool(Simulator* sim, int num_workers);
 
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
@@ -36,7 +33,6 @@ class WorkerPool {
 
  private:
   Simulator* sim_;
-  int lane_;
   std::vector<SimTime> busy_until_;
   uint64_t busy_us_ = 0;
   uint64_t last_sampled_busy_ = 0;

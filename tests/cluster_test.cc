@@ -233,5 +233,16 @@ TEST(ClusterTest, UserAbortRollsBackButStillMigrates) {
   EXPECT_EQ(cluster->ownership().Owner(5), cluster->ownership().Owner(9000));
 }
 
+#ifndef NDEBUG
+// The simulator is single-threaded: a config asking for simulator threads
+// is rejected at construction, not silently run sequentially.
+TEST(ClusterDeathTest, NonzeroSimThreadsAsserts) {
+  ClusterConfig config = SmallConfig();
+  config.sim.threads = 2;
+  EXPECT_DEATH(MakeCluster(config, RouterKind::kHermes),
+               "sim.threads must be 0");
+}
+#endif  // NDEBUG
+
 }  // namespace
 }  // namespace hermes

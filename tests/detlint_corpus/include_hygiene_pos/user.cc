@@ -1,3 +1,3 @@
 // detlint-fixture: path=src/engine/ih_user.cc
 #include <ctime>
-#include "sim/lane_guts.h"
+#include "common/spin.h"

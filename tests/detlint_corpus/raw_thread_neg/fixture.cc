@@ -1,4 +1,4 @@
-// detlint-fixture: path=src/sim/raw_thread_neg.cc
-#include <thread>
+// detlint-fixture: path=bench/raw_thread_neg.cc
+#include <atomic>
 
-std::thread worker_;
+std::atomic<uint64_t> g_heap_allocs{0};

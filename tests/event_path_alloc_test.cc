@@ -1,9 +1,9 @@
 // Zero-allocation check for the simulator's event path. This binary
 // replaces the global operator new/delete with counting versions (hence
-// its own executable), warms a multi-lane hold model up, and then asserts
-// that 100k further events — same-lane pushes, cross-lane pushes staged
-// through the epoch barrier, Defer()red effects, network deliveries and
-// worker-pool completions — make no heap allocation at all.
+// its own executable), warms a hold model over four nodes up, and then
+// asserts that 100k further events — relative, same-time and absolute
+// pushes, network deliveries and worker-pool completions — make no heap
+// allocation at all.
 
 #include <cstdint>
 #include <cstdlib>
@@ -19,8 +19,8 @@
 
 namespace {
 
-// A plain counter: the simulator runs inline (threads == 0) and gtest
-// starts no threads.
+// A plain counter: the simulator is single-threaded and gtest starts no
+// threads.
 uint64_t g_allocs = 0;
 
 void* CountedAlloc(std::size_t size) {
@@ -52,7 +52,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace hermes::sim {
 namespace {
 
-constexpr int kLanes = 4;
+constexpr int kNodes = 4;
 
 /// Keeps a fixed number of events in flight. Each firing picks the next
 /// hop from a hash of its state and reschedules itself through one of the
@@ -61,43 +61,40 @@ constexpr int kLanes = 4;
 struct HoldModel {
   Simulator* sim;
   Network* net;
-  WorkerPool* pools[kLanes];
+  WorkerPool* pools[kNodes];
   uint64_t budget;
   uint64_t fired = 0;
-  uint64_t effects = 0;
+  uint64_t same_time = 0;
 
-  void Fire(int lane, uint64_t state) {
+  void Fire(int node, uint64_t state) {
     ++fired;
     if (budget == 0) return;
     --budget;
     state = Mix64(state + 1);
-    const int next = static_cast<int>(state % kLanes);
+    const int next = static_cast<int>(state % kNodes);
     const SimTime delay = 1 + (state >> 40) % 50;
     switch ((state >> 8) % 5) {
-      case 0:  // same lane, or a cross-lane push staged to the barrier
-        sim->ScheduleOnLane(
-            next, delay, InlineTask([this, next, state] { Fire(next, state); }));
+      case 0:  // relative push
+        sim->Schedule(delay,
+                      InlineTask([this, next, state] { Fire(next, state); }));
         break;
-      case 1:  // network delivery onto the next lane
-        net->Send(static_cast<NodeId>(lane), static_cast<NodeId>(next), 64,
+      case 1:  // network delivery to the next node
+        net->Send(static_cast<NodeId>(node), static_cast<NodeId>(next), 64,
                   InlineTask([this, next, state] { Fire(next, state); }));
         break;
-      case 2:  // worker completion on this lane
-        pools[lane]->Submit(delay, InlineTask([this, lane, state] {
-                              Fire(lane, state);
+      case 2:  // worker completion on this node
+        pools[node]->Submit(delay, InlineTask([this, node, state] {
+                              Fire(node, state);
                             }));
         break;
-      case 3:  // exclusive effect at the barrier, which reschedules
-        sim->Defer(InlineTask([this, next, delay, state] {
-          ++effects;
-          sim->ScheduleOnLane(next, delay, InlineTask([this, next, state] {
-                                Fire(next, state);
-                              }));
-        }));
+      case 3:  // same-time push, behind the events already queued for now
+        ++same_time;
+        sim->Schedule(0,
+                      InlineTask([this, next, state] { Fire(next, state); }));
         break;
-      default:  // absolute-time push on this lane
+      default:  // absolute-time push
         sim->ScheduleAt(sim->Now() + delay,
-                        InlineTask([this, lane, state] { Fire(lane, state); }));
+                        InlineTask([this, node, state] { Fire(node, state); }));
         break;
     }
   }
@@ -109,31 +106,30 @@ TEST(EventPathAllocTest, WarmedUpEventsAllocateNothing) {
   constexpr uint64_t kMeasured = 100'000;
 
   Simulator sim;
-  sim.ConfigureLanes(kLanes, /*threads=*/0);
   CostModel costs;
-  Network net(&sim, &costs, kLanes);
-  WorkerPool p0(&sim, 2, 0), p1(&sim, 2, 1), p2(&sim, 2, 2), p3(&sim, 2, 3);
+  Network net(&sim, &costs, kNodes);
+  WorkerPool p0(&sim, 2), p1(&sim, 2), p2(&sim, 2), p3(&sim, 2);
   HoldModel model{&sim, &net, {&p0, &p1, &p2, &p3}, kWarmup};
 
   for (uint64_t i = 0; i < kDepth; ++i) {
-    const int lane = static_cast<int>(i % kLanes);
-    sim.ScheduleOnLane(lane, 1, [&model, lane, i] { model.Fire(lane, i); });
+    const int node = static_cast<int>(i % kNodes);
+    sim.Schedule(1, [&model, node, i] { model.Fire(node, i); });
   }
   // Warm-up: the budget runs dry and the in-flight chains drain, leaving
-  // every slab, heap and staging buffer at its high-water mark.
+  // the queue's heap and slab at their high-water marks.
   sim.RunAll();
   ASSERT_GE(model.fired, kWarmup);
-  ASSERT_GT(model.effects, 0u);
+  ASSERT_GT(model.same_time, 0u);
 
   model.budget = kMeasured;
   const uint64_t fired_before = model.fired;
   const uint64_t msgs_before = net.total_messages();
   const uint64_t allocs_before = g_allocs;
   for (uint64_t i = 0; i < kDepth; ++i) {
-    const int lane = static_cast<int>(i % kLanes);
-    sim.ScheduleOnLane(lane, 1, InlineTask([&model, lane, i] {
-                         model.Fire(lane, i + 1'000'000);
-                       }));
+    const int node = static_cast<int>(i % kNodes);
+    sim.Schedule(1, InlineTask([&model, node, i] {
+                   model.Fire(node, i + 1'000'000);
+                 }));
   }
   sim.RunAll();
   const uint64_t allocs = g_allocs - allocs_before;

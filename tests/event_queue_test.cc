@@ -181,7 +181,7 @@ TEST(EventQueueTest, SlotReuseMatchesReferenceOrder) {
       ASSERT_FALSE(ref.empty());
       const auto [when, ref_seq, payload] = ref.top();
       ref.pop();
-      EventQueue::Popped e = q.PopEntry();
+      EventQueue::Popped e = q.Pop();
       ASSERT_EQ(e.when, when);
       ASSERT_EQ(e.seq, ref_seq);
       now = e.when;
@@ -194,7 +194,7 @@ TEST(EventQueueTest, SlotReuseMatchesReferenceOrder) {
   while (!q.empty()) {
     const auto [when, ref_seq, payload] = ref.top();
     ref.pop();
-    EventQueue::Popped e = q.PopEntry();
+    EventQueue::Popped e = q.Pop();
     ASSERT_EQ(e.when, when);
     ASSERT_EQ(e.seq, ref_seq);
     now = e.when;

@@ -103,7 +103,7 @@ TEST(TracerTest, EnabledTracerDigestsAndRoutesToNodeRings) {
   EXPECT_EQ(t.ring(3).recorded, 1u);
   // Each ring digests its own events (7 Mix() words per event); the
   // tracer digest folds the non-empty rings (two words per ring) in ring
-  // order, so emission stays lane-local under the parallel simulator.
+  // order.
   EXPECT_EQ(t.ring(0).digest.count(), 1u * 7)
       << "ring digest no longer covers the full event";
   EXPECT_EQ(t.ring(2).digest.count(), 0u);

@@ -8,8 +8,7 @@
 // schedule when the detector fired) to the same placements and state —
 // replica copies must cohere, and the entire outcome (decision digest,
 // placement digest, TRACE digest, state checksum, commits, pen and
-// detector counters) must be bit-identical across hash salts AND across
-// sequential vs 8-thread simulation.
+// detector counters) must be bit-identical across hash salts.
 
 #include <cstdio>
 #include <memory>
@@ -45,7 +44,7 @@ std::vector<uint64_t> PerturbationSalts() {
   return {HashSalt(), 0x9e3779b97f4a7c15ULL, 0xdeadbeefcafef00dULL};
 }
 
-ClusterConfig PartitionConfig(int threads) {
+ClusterConfig PartitionConfig() {
   ClusterConfig config;
   config.num_nodes = 3;
   config.num_records = 6'000;
@@ -53,7 +52,6 @@ ClusterConfig PartitionConfig(int threads) {
   config.detector.enabled = true;
   config.replication.enabled = true;
   config.obs.trace_enabled = true;
-  config.sim.threads = threads;
   return config;
 }
 
@@ -122,10 +120,9 @@ bool SameOutcome(const PartitionOutcome& a, const PartitionOutcome& b) {
 
 /// One partition-chaos lifetime. `deep_checks` additionally runs the
 /// partition oracle (command-log replay) — once per seed; the compared
-/// digests already sit in the outcome for the other salts/threads.
-PartitionOutcome RunPartitionChaos(uint64_t plan_seed, bool deep_checks,
-                                   int threads = 0) {
-  ClusterConfig config = PartitionConfig(threads);
+/// digests already sit in the outcome for the other salts.
+PartitionOutcome RunPartitionChaos(uint64_t plan_seed, bool deep_checks) {
+  ClusterConfig config = PartitionConfig();
   Cluster cluster(config, RouterKind::kHermes, MapFactory(config)());
   cluster.Load();
 
@@ -175,7 +172,7 @@ PartitionOutcome RunPartitionChaos(uint64_t plan_seed, bool deep_checks,
   return out;
 }
 
-TEST(PartitionChaosTest, SeededPlansHoldOracleAcrossSaltsAndThreads) {
+TEST(PartitionChaosTest, SeededPlansHoldOracleAcrossSalts) {
   const uint64_t old_salt = HashSalt();
   const std::vector<uint64_t> salts = PerturbationSalts();
   uint64_t total_held = 0, total_suspects = 0, total_restores = 0;
@@ -187,11 +184,6 @@ TEST(PartitionChaosTest, SeededPlansHoldOracleAcrossSaltsAndThreads) {
       SetHashSalt(salts[i]);
       outcomes.push_back(RunPartitionChaos(plan_seed, /*deep_checks=*/i == 0));
     }
-    // Same plan under the base salt on 8 simulation threads: the digests
-    // (including the trace digest) must not notice the thread count.
-    SetHashSalt(salts[0]);
-    outcomes.push_back(
-        RunPartitionChaos(plan_seed, /*deep_checks=*/false, /*threads=*/8));
     SetHashSalt(old_salt);
 
     const PartitionOutcome& base = outcomes[0];
@@ -208,13 +200,12 @@ TEST(PartitionChaosTest, SeededPlansHoldOracleAcrossSaltsAndThreads) {
     EXPECT_EQ(base.suspects, base.restores) << "plan seed " << plan_seed;
 
     for (size_t i = 1; i < outcomes.size(); ++i) {
-      const bool threaded = i == outcomes.size() - 1;
       ASSERT_TRUE(outcomes[i].monitors_ok)
-          << "plan seed " << plan_seed << (threaded ? " threads=8" : " salt ")
-          << (threaded ? 0ull : salts[i]) << ":\n" << outcomes[i].report;
+          << "plan seed " << plan_seed << " salt " << salts[i] << ":\n"
+          << outcomes[i].report;
       EXPECT_TRUE(SameOutcome(base, outcomes[i]))
-          << "plan seed " << plan_seed << " diverged under "
-          << (threaded ? "threads=8" : "another salt") << ": digest "
+          << "plan seed " << plan_seed << " diverged under another salt"
+          << ": digest "
           << std::hex << outcomes[i].decision_digest << " vs "
           << base.decision_digest << ", trace " << outcomes[i].trace_digest
           << " vs " << base.trace_digest << std::dec << ", suspects "
@@ -236,7 +227,7 @@ TEST(PartitionChaosTest, SeededPlansHoldOracleAcrossSaltsAndThreads) {
 // rounds. Timing is pure virtual arithmetic, so the expectations are
 // exact.
 TEST(PartitionChaosTest, DetectorConvertsCutIntoMembershipEpochs) {
-  ClusterConfig config = PartitionConfig(0);
+  ClusterConfig config = PartitionConfig();
   config.replication.enabled = false;
   Cluster cluster(config, RouterKind::kHermes, MapFactory(config)());
   cluster.Load();
@@ -271,7 +262,7 @@ TEST(PartitionChaosTest, DetectorConvertsCutIntoMembershipEpochs) {
 // victim answers probes in one direction but the pair is unhealthy, so
 // the detector isolates it exactly like a two-sided cut.
 TEST(PartitionChaosTest, OneWayCutIsolatesTheVictim) {
-  ClusterConfig config = PartitionConfig(0);
+  ClusterConfig config = PartitionConfig();
   config.replication.enabled = false;
   Cluster cluster(config, RouterKind::kHermes, MapFactory(config)());
   cluster.Load();
@@ -291,11 +282,10 @@ TEST(PartitionChaosTest, OneWayCutIsolatesTheVictim) {
   cluster.Drain();
 }
 
-// One seeded partition lifetime under the PROCESS salt (HERMES_HASH_SALT)
-// and thread count (HERMES_SIM_THREADS), printing a parseable outcome
-// line. scripts/check_determinism.sh runs this binary under several env
-// salts x thread counts and requires every printed PARTITION_PROFILE line
-// to be identical across processes.
+// One seeded partition lifetime under the PROCESS salt (HERMES_HASH_SALT),
+// printing a parseable outcome line. scripts/check_determinism.sh runs
+// this binary under several env salts and requires every printed
+// PARTITION_PROFILE line to be identical across processes.
 TEST(PartitionScriptProfile, SingleSeededPlanPrintsOutcome) {
   const PartitionOutcome out =
       RunPartitionChaos(kSeedBase + 3000, /*deep_checks=*/true);

@@ -3,7 +3,7 @@
 // manager's copies stay coherent with their primaries, a crashed holder
 // deterministically lapses every lease, and — the tentpole oracle — all
 // three digests plus the replica checksum are bit-identical across hash
-// salts and simulator thread counts. Also hosts the Drain() footgun
+// salts. Also hosts the Drain() footgun
 // regression: draining with a node still down never terminates (the
 // watchdog keeps rescheduling), so rejoin first; the stuck state is
 // visible in DegradedDebugString().
@@ -40,12 +40,11 @@ using fault::InvariantMonitor;
 constexpr uint64_t kRecords = 4'000;
 constexpr int kNodes = 4;
 
-ClusterConfig ReplicationConfigFor(int threads) {
+ClusterConfig ReplicationConfig() {
   ClusterConfig config;
   config.num_nodes = kNodes;
   config.num_records = kRecords;
   config.hermes.fusion_table_capacity = 200;
-  config.sim.threads = threads;
   config.replication.enabled = true;
   config.replication.replicas = 3;
   config.replication.read_hot_threshold = 2;
@@ -82,7 +81,7 @@ void DriveReadHeavy(Cluster& cluster, double write_fraction, SimTime horizon,
 // A read-mostly skewed workload earns leases, absorbs remote reads into
 // local copies, and quiesces with every copy bit-identical to its primary.
 TEST(ReplicaLeaseTest, LeasesGrantAndAbsorbReads) {
-  ClusterConfig config = ReplicationConfigFor(/*threads=*/0);
+  ClusterConfig config = ReplicationConfig();
   Cluster cluster(config, RouterKind::kHermes, Map());
   cluster.Load();
   DriveReadHeavy(cluster, /*write_fraction=*/0.05, MsToSim(600));
@@ -105,7 +104,7 @@ TEST(ReplicaLeaseTest, LeasesGrantAndAbsorbReads) {
 // The global read-mostly gate: a write-heavy workload grants nothing, so
 // the replication-enabled run routes exactly like the disabled one.
 TEST(ReplicaLeaseTest, WriteHeavyWorkloadGrantsNothing) {
-  ClusterConfig on_config = ReplicationConfigFor(/*threads=*/0);
+  ClusterConfig on_config = ReplicationConfig();
   Cluster on(on_config, RouterKind::kHermes, Map());
   on.Load();
   DriveReadHeavy(on, /*write_fraction=*/0.6, MsToSim(400));
@@ -128,7 +127,7 @@ TEST(ReplicaLeaseTest, WriteHeavyWorkloadGrantsNothing) {
 // Satellite: the replica-coherence monitor. A clean quiesced run reports
 // nothing; a deliberately corrupted copy is caught and named.
 TEST(ReplicaLeaseTest, CoherenceMonitorCatchesCorruptedCopy) {
-  ClusterConfig config = ReplicationConfigFor(/*threads=*/0);
+  ClusterConfig config = ReplicationConfig();
   Cluster cluster(config, RouterKind::kHermes, Map());
   cluster.Load();
   DriveReadHeavy(cluster, /*write_fraction=*/0.05, MsToSim(400));
@@ -158,7 +157,7 @@ TEST(ReplicaLeaseTest, CoherenceMonitorCatchesCorruptedCopy) {
 // node is down. After rejoin the table re-grants and the run quiesces
 // coherent.
 TEST(ReplicaLeaseTest, CrashedHolderLapsesLeases) {
-  ClusterConfig config = ReplicationConfigFor(/*threads=*/0);
+  ClusterConfig config = ReplicationConfig();
   Cluster cluster(config, RouterKind::kHermes, Map());
   cluster.Load();
 
@@ -200,7 +199,7 @@ TEST(ReplicaLeaseTest, CrashedHolderLapsesLeases) {
 // placement digest equals a fault-free command-log replay, and the
 // quiesced copies match their primaries.
 TEST(ReplicaLeaseTest, ChaosPlanStaysCoherentAndReplayable) {
-  ClusterConfig config = ReplicationConfigFor(/*threads=*/0);
+  ClusterConfig config = ReplicationConfig();
   Cluster cluster(config, RouterKind::kHermes, Map());
   cluster.Load();
 
@@ -247,7 +246,7 @@ TEST(ReplicaLeaseTest, ChaosPlanStaysCoherentAndReplayable) {
 // DegradedDebugString(); after the rejoin the same Drain() completes,
 // the parked set empties, and every migrated record lands.
 TEST(DrainFootgunTest, DrainRequiresRejoinFirst) {
-  ClusterConfig config = ReplicationConfigFor(/*threads=*/0);
+  ClusterConfig config = ReplicationConfig();
   Cluster cluster(config, RouterKind::kHermes, Map());
   cluster.Load();
 
@@ -290,10 +289,9 @@ TEST(DrainFootgunTest, DrainRequiresRejoinFirst) {
 
 // Tentpole oracle: with replication enabled, decision, placement and
 // trace digests — plus the replica checksum and commit counts — are
-// bit-identical across hash salts and sim.threads in {0, 1, 2, 4, 8}.
-// The REPLICATION_PROFILE line is consumed by check_determinism.sh, which
-// reruns this binary under distinct HERMES_HASH_SALT /
-// HERMES_SIM_THREADS environments and requires one unique line.
+// bit-identical across hash salts. The REPLICATION_PROFILE line is
+// consumed by check_determinism.sh, which reruns this binary under
+// distinct HERMES_HASH_SALT environments and requires one unique line.
 struct ProfileResult {
   uint64_t decision = 0;
   uint64_t placement = 0;
@@ -312,8 +310,8 @@ struct ProfileResult {
   }
 };
 
-ProfileResult RunProfile(int threads) {
-  ClusterConfig config = ReplicationConfigFor(threads);
+ProfileResult RunProfile() {
+  ClusterConfig config = ReplicationConfig();
   config.obs.trace_enabled = true;
   Cluster cluster(config, RouterKind::kHermes, Map());
   cluster.Load();
@@ -345,42 +343,42 @@ ProfileResult RunProfile(int threads) {
   return r;
 }
 
-TEST(ReplicaLeaseTest, DigestsInvariantAcrossThreadsAndSalts) {
+TEST(ReplicaLeaseTest, DigestsInvariantAcrossSalts) {
   const uint64_t old_salt = HashSalt();
   const std::vector<uint64_t> salts = {HashSalt(), 0x9e3779b97f4a7c15ULL,
                                        0xdeadbeefcafef00dULL};
-  const int thread_counts[] = {0, 1, 2, 4, 8};
-  for (uint64_t salt : salts) {
+  ProfileResult first;
+  for (size_t i = 0; i < salts.size(); ++i) {
+    const uint64_t salt = salts[i];
     SetHashSalt(salt);
-    const ProfileResult oracle = RunProfile(/*threads=*/0);
-    ASSERT_GT(oracle.commits, 200u);
-    ASSERT_GT(oracle.grants, 0u);
-    ASSERT_GT(oracle.replica_reads, 0u);
+    const ProfileResult got = RunProfile();
+    ASSERT_GT(got.commits, 200u);
+    ASSERT_GT(got.grants, 0u);
+    ASSERT_GT(got.replica_reads, 0u);
     std::printf(
         "REPLICATION_PROFILE decision=%016llx placement=%016llx "
         "trace=%016llx replicas=%016llx state=%016llx commits=%llu "
         "grants=%llu replica_reads=%llu\n",
-        static_cast<unsigned long long>(oracle.decision),
-        static_cast<unsigned long long>(oracle.placement),
-        static_cast<unsigned long long>(oracle.trace),
-        static_cast<unsigned long long>(oracle.replica_checksum),
-        static_cast<unsigned long long>(oracle.state_checksum),
-        static_cast<unsigned long long>(oracle.commits),
-        static_cast<unsigned long long>(oracle.grants),
-        static_cast<unsigned long long>(oracle.replica_reads));
-    for (int threads : thread_counts) {
-      if (threads == 0) continue;
-      const ProfileResult got = RunProfile(threads);
-      EXPECT_TRUE(oracle == got)
-          << "diverged at threads=" << threads << " salt=0x" << std::hex
-          << salt << ": decision " << got.decision << " vs "
-          << oracle.decision << ", placement " << got.placement << " vs "
-          << oracle.placement << ", trace " << got.trace << " vs "
-          << oracle.trace << ", replicas " << got.replica_checksum << " vs "
-          << oracle.replica_checksum << std::dec << ", commits "
-          << got.commits << " vs " << oracle.commits;
-      if (!(oracle == got)) break;
+        static_cast<unsigned long long>(got.decision),
+        static_cast<unsigned long long>(got.placement),
+        static_cast<unsigned long long>(got.trace),
+        static_cast<unsigned long long>(got.replica_checksum),
+        static_cast<unsigned long long>(got.state_checksum),
+        static_cast<unsigned long long>(got.commits),
+        static_cast<unsigned long long>(got.grants),
+        static_cast<unsigned long long>(got.replica_reads));
+    if (i == 0) {
+      first = got;
+      continue;
     }
+    EXPECT_TRUE(first == got)
+        << "diverged at salt=0x" << std::hex << salt << ": decision "
+        << got.decision << " vs " << first.decision << ", placement "
+        << got.placement << " vs " << first.placement << ", trace "
+        << got.trace << " vs " << first.trace << ", replicas "
+        << got.replica_checksum << " vs " << first.replica_checksum
+        << std::dec << ", commits " << got.commits << " vs "
+        << first.commits;
   }
   SetHashSalt(old_salt);
 }

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/config.h"
+#include "sim/network.h"
+#include "sim/worker_pool.h"
+
 namespace hermes::sim {
 namespace {
 
@@ -63,12 +67,11 @@ TEST(SimulatorTest, CountsExecutedEvents) {
   EXPECT_EQ(sim.events_executed(), 7u);
 }
 
-// Regression for the ScheduleAt past-time semantics: a past `when` clamps
-// to the *caller's epoch-local clock* and the clamped event takes the next
-// sequence number on the caller's lane — so the pop transcript fed to the
-// decision digest is exactly (100, seq 0), (100, seq 1) on the control
-// lane. Pinned by replaying MixPop's mixing scheme by hand; a change to
-// either the clamp rule or the digest total order breaks this test.
+// The digest transcript of a clamped ScheduleAt: a past `when` clamps to
+// Now() and the clamped event takes the next sequence number, so the pops
+// fed to the decision digest are exactly (100, seq 0), (100, seq 1).
+// Pinned by replaying the (when, seq) mixing scheme by hand; a change to
+// either the clamp rule or the digest's total order breaks this test.
 TEST(SimulatorTest, ScheduleAtPastClampDigestTranscript) {
   Simulator sim;
   DecisionDigest digest;
@@ -80,46 +83,57 @@ TEST(SimulatorTest, ScheduleAtPastClampDigestTranscript) {
   sim.RunAll();
   EXPECT_EQ(clamped_fire, 100u);
 
-  DecisionDigest expected;  // MixPop: Mix(when); Mix((lane+1)<<40 ^ seq)
-  expected.Mix(100);        // outer event: control lane (tag 0), seq 0
-  expected.Mix((uint64_t{0} << 40) ^ 0);
-  expected.Mix(100);        // clamped event: same epoch, seq 1
-  expected.Mix((uint64_t{0} << 40) ^ 1);
+  DecisionDigest expected;
+  expected.Mix(100);  // outer event, seq 0
+  expected.Mix(0);
+  expected.Mix(100);  // clamped event, seq 1
+  expected.Mix(1);
   EXPECT_EQ(digest.value(), expected.value());
   EXPECT_EQ(digest.count(), expected.count());
 }
 
-// The same clamp from inside a node-lane event: the reference clock is the
-// lane's epoch clock (NOT some global "furthest lane" time), the clamped
-// event stays on the caller's lane, and the transcript is identical at
-// every thread count.
-TEST(SimulatorTest, ScheduleAtPastClampOnLaneIsThreadCountInvariant) {
-  auto run = [](int threads) {
-    Simulator sim;
-    DecisionDigest digest;
-    sim.set_decision_digest(&digest);
-    sim.ConfigureLanes(2, threads);
-    SimTime fire = 0;
-    int fire_lane = -99;
-    sim.ScheduleOnLaneAt(1, 60, [&] {
-      sim.ScheduleAt(20, [&] {  // past; clamps to lane 1's clock (60)
-        fire = sim.Now();
-        fire_lane = sim.current_lane();
-      });
-    });
-    sim.RunAll();
-    EXPECT_EQ(fire, 60u) << "threads=" << threads;
-    EXPECT_EQ(fire_lane, 1) << "threads=" << threads;
-    return digest.value();
-  };
+// Events at one timestamp fire in the order they were scheduled, whichever
+// node they concern: network deliveries to different destinations, worker
+// completions on different nodes and plain events interleave strictly
+// FIFO.
+TEST(SimulatorTest, EqualTimestampsFireFifoWhicheverNodeTheyTarget) {
+  Simulator sim;
+  CostModel costs;
+  costs.net_latency_us = 50;
+  costs.net_us_per_byte = 0;
+  costs.message_overhead_bytes = 0;
+  Network net(&sim, &costs, 4);
+  WorkerPool pool0(&sim, 1);
+  WorkerPool pool2(&sim, 1);
+  std::vector<int> order;
+  net.Send(0, 3, 8, [&] { order.push_back(0); });
+  pool2.Submit(50, [&] { order.push_back(1); });
+  net.Send(2, 1, 8, [&] { order.push_back(2); });
+  sim.ScheduleAt(50, [&] { order.push_back(3); });
+  pool0.Submit(50, [&] { order.push_back(4); });
+  net.Send(3, 0, 8, [&] { order.push_back(5); });
+  sim.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(sim.Now(), 50u);
+}
 
-  DecisionDigest expected;
-  expected.Mix(60);  // outer lane-1 event (tag 2), seq 0
-  expected.Mix((uint64_t{2} << 40) ^ 0);
-  expected.Mix(60);  // clamped event, same epoch, lane 1, seq 1
-  expected.Mix((uint64_t{2} << 40) ^ 1);
-  EXPECT_EQ(run(0), expected.value());
-  EXPECT_EQ(run(2), expected.value());
+// An event scheduled for the current time from inside a handler fires
+// after every event already queued for that time — the same rule a past
+// time clamped to Now() follows.
+TEST(SimulatorTest, ScheduleAtNowFromHandlerFiresAfterQueuedEvents) {
+  Simulator sim;
+  std::vector<char> order;
+  sim.ScheduleAt(100, [&] {
+    order.push_back('a');
+    sim.Schedule(0, [&] { order.push_back('d'); });
+    sim.ScheduleAt(sim.Now(), [&] { order.push_back('e'); });
+    sim.ScheduleAt(10, [&] { order.push_back('f'); });  // past: clamps
+  });
+  sim.ScheduleAt(100, [&] { order.push_back('b'); });
+  sim.ScheduleAt(100, [&] { order.push_back('c'); });
+  sim.ScheduleAt(101, [&] { order.push_back('g'); });
+  sim.RunAll();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c', 'd', 'e', 'f', 'g'}));
 }
 
 }  // namespace

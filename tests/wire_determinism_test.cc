@@ -1,14 +1,13 @@
 // Digest oracle for the wire substrate (DESIGN.md §5 "Wire substrate"):
 // with config.net.enabled the SAME seeded workload — including a mid-run
-// AddNode (GrowLinks under the barrier) and a partition cut/heal cycle
-// (OnLinkCut queue drain into the holding pens) — must produce
-// bit-identical decision/placement/trace digests and wire counters with
-// config.sim.threads in {0, 1, 2, 4, 8}, under several hash salts. A
-// second, lane-level test pins down envelope CONTENTS: the set and order
-// of messages folded into each envelope may not shift with the thread
-// count. The NetScriptProfile test prints a parseable NET_PROFILE line
-// for scripts/check_determinism.sh to compare across env salts x
-// HERMES_SIM_THREADS.
+// AddNode (GrowLinks while envelopes are in flight) and a partition
+// cut/heal cycle (OnLinkCut queue drain into the holding pens) — must
+// produce bit-identical decision/placement/trace digests and wire
+// counters under several hash salts. A second test pins down envelope
+// CONTENTS: the set and order of messages folded into each envelope may
+// not shift with the salt. The NetScriptProfile test prints a parseable
+// NET_PROFILE line for scripts/check_determinism.sh to compare across env
+// salts.
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -30,8 +29,6 @@ namespace {
 
 using engine::Cluster;
 using engine::RouterKind;
-
-const int kThreadCounts[] = {0, 1, 2, 4, 8};
 
 std::vector<uint64_t> Salts() {
   return {HashSalt(), 0x9e3779b97f4a7c15ULL, 0xdeadbeefcafef00dULL};
@@ -65,14 +62,13 @@ bool operator==(const RunResult& a, const RunResult& b) {
          a.bulk_delay_p99 == b.bulk_delay_p99;
 }
 
-ClusterConfig NetConfigFor(int threads) {
+ClusterConfig NetEnabledConfig() {
   ClusterConfig config;
   config.num_nodes = 4;
   config.num_records = 6'000;
   config.hermes.fusion_table_capacity = 250;
   config.migration_chunk_records = 250;
   config.obs.trace_enabled = true;
-  config.sim.threads = threads;
   config.net.enabled = true;
   // Tight enough that migration envelopes exhaust the window and stall
   // behind their own deliveries — the backpressure path must be exercised,
@@ -110,19 +106,19 @@ RunResult Harvest(Cluster& cluster) {
   r.fg_transmits = wire.transmits(TrafficClass::kForeground);
   r.bulk_transmits = wire.transmits(TrafficClass::kBulk);
   r.credit_stalls = wire.credit_stalls();
-  r.fg_delay_p99 = wire.MergedQueueDelay(TrafficClass::kForeground)
+  r.fg_delay_p99 = wire.QueueDelay(TrafficClass::kForeground)
                        .Percentile(0.99);
   r.bulk_delay_p99 =
-      wire.MergedQueueDelay(TrafficClass::kBulk).Percentile(0.99);
+      wire.QueueDelay(TrafficClass::kBulk).Percentile(0.99);
   return r;
 }
 
 // One seeded net-enabled lifetime: steady YCSB traffic, a scale-out at
-// 150ms (lane + link growth while envelopes are in flight), a two-sided
+// 150ms (link growth while envelopes are in flight), a two-sided
 // cut of node 2 at 220ms (transmit queues drain into the pens) healed at
 // 260ms (pens release FIFO, serialization re-measured).
-RunResult RunNetWorkload(int threads) {
-  ClusterConfig config = NetConfigFor(threads);
+RunResult RunNetWorkload() {
+  ClusterConfig config = NetEnabledConfig();
   Cluster cluster(config, RouterKind::kHermes, MapFor(config));
   cluster.Load();
 
@@ -147,48 +143,45 @@ RunResult RunNetWorkload(int threads) {
   return Harvest(cluster);
 }
 
-TEST(WireDeterminismTest, NetEnabledDigestOracleAcrossThreadsAndSalts) {
+TEST(WireDeterminismTest, NetEnabledDigestOracleAcrossSalts) {
   const uint64_t old_salt = HashSalt();
-  for (uint64_t salt : Salts()) {
-    SetHashSalt(salt);
-    const RunResult oracle = RunNetWorkload(/*threads=*/0);
-    ASSERT_GT(oracle.commits, 50u) << "workload too small";
-    ASSERT_GT(oracle.envelopes, 0u) << "coalescing never engaged";
-    ASSERT_GT(oracle.coalesced, oracle.envelopes)
-        << "no envelope carried more than one message";
-    ASSERT_GT(oracle.fg_transmits, 0u);
-    ASSERT_GT(oracle.credit_stalls, 0u) << "backpressure never engaged";
-    for (int threads : kThreadCounts) {
-      if (threads == 0) continue;
-      const RunResult got = RunNetWorkload(threads);
-      EXPECT_TRUE(oracle == got)
-          << "diverged at threads=" << threads << " salt=0x" << std::hex
-          << salt << ": decision " << got.decision << " vs "
-          << oracle.decision << ", placement " << got.placement << " vs "
-          << oracle.placement << ", trace " << got.trace << std::dec
-          << ", envelopes " << got.envelopes << " vs " << oracle.envelopes
-          << ", coalesced " << got.coalesced << " vs " << oracle.coalesced
-          << ", stalls " << got.credit_stalls << " vs "
-          << oracle.credit_stalls << ", commits " << got.commits << " vs "
-          << oracle.commits;
-      if (!(oracle == got)) break;  // one divergence is enough signal
-    }
+  const std::vector<uint64_t> salts = Salts();
+  SetHashSalt(salts[0]);
+  const RunResult first = RunNetWorkload();
+  ASSERT_GT(first.commits, 50u) << "workload too small";
+  ASSERT_GT(first.envelopes, 0u) << "coalescing never engaged";
+  ASSERT_GT(first.coalesced, first.envelopes)
+      << "no envelope carried more than one message";
+  ASSERT_GT(first.fg_transmits, 0u);
+  ASSERT_GT(first.credit_stalls, 0u) << "backpressure never engaged";
+  for (size_t i = 1; i < salts.size(); ++i) {
+    SetHashSalt(salts[i]);
+    const RunResult got = RunNetWorkload();
+    EXPECT_TRUE(first == got)
+        << "diverged at salt=0x" << std::hex << salts[i] << ": decision "
+        << got.decision << " vs " << first.decision << ", placement "
+        << got.placement << " vs " << first.placement << ", trace "
+        << got.trace << std::dec << ", envelopes " << got.envelopes
+        << " vs " << first.envelopes << ", coalesced " << got.coalesced
+        << " vs " << first.coalesced << ", stalls " << got.credit_stalls
+        << " vs " << first.credit_stalls << ", commits " << got.commits
+        << " vs " << first.commits;
   }
   SetHashSalt(old_salt);
 }
 
-// Envelope CONTENTS must be thread-count-invariant, not just the digests:
-// three source lanes append bulk messages toward node 0 on interleaved
-// schedules, and the delivery order of every message id must match the
-// sequential oracle exactly (envelopes open in append order; appends fold
-// in virtual-time order per link).
+// Envelope CONTENTS must be salt-invariant, not just the digests: three
+// source nodes append bulk messages toward node 0 on interleaved
+// schedules, and the delivery order of every message id must be the same
+// under every salt (envelopes open in append order; appends fold in
+// virtual-time order per link).
 struct ContentsResult {
   std::vector<int> order;
   uint64_t envelopes = 0;
   uint64_t coalesced = 0;
 };
 
-ContentsResult RunEnvelopeContents(int threads) {
+ContentsResult RunEnvelopeContents() {
   sim::Simulator sim;
   CostModel costs;
   costs.net_latency_us = 100;
@@ -200,22 +193,16 @@ ContentsResult RunEnvelopeContents(int threads) {
   net_config.coalesce_window_us = 40;
   net_config.coalesce_max_bytes = 4 * 1024;
   net::Wire wire(&sim, &fabric, &costs, &net_config, 4);
-  sim.ConfigureLanes(4, threads);
 
   ContentsResult result;
   for (int src = 1; src <= 3; ++src) {
     for (int k = 0; k < 8; ++k) {
       const int id = src * 100 + k;
-      sim.ScheduleOnLane(src, static_cast<SimTime>(10 * k + src),
-                         [&wire, &result, &sim, src, id] {
-                           wire.Send(src, 0, 500, TrafficClass::kBulk,
-                                     [&result, id] {
-                                       // Runs on lane 0 only: appends are
-                                       // serialized within each epoch.
-                                       result.order.push_back(id);
-                                     });
-                           (void)sim;
-                         });
+      sim.Schedule(static_cast<SimTime>(10 * k + src),
+                   [&wire, &result, src, id] {
+                     wire.Send(src, 0, 500, TrafficClass::kBulk,
+                               [&result, id] { result.order.push_back(id); });
+                   });
     }
   }
   sim.RunAll();
@@ -224,32 +211,35 @@ ContentsResult RunEnvelopeContents(int threads) {
   return result;
 }
 
-TEST(WireDeterminismTest, EnvelopeContentsAcrossThreadsAndSalts) {
+TEST(WireDeterminismTest, EnvelopeContentsAcrossSalts) {
   const uint64_t old_salt = HashSalt();
-  for (uint64_t salt : Salts()) {
-    SetHashSalt(salt);
-    const ContentsResult oracle = RunEnvelopeContents(/*threads=*/0);
-    ASSERT_EQ(oracle.coalesced, 24u);
-    ASSERT_GT(oracle.envelopes, 0u);
-    ASSERT_LT(oracle.envelopes, oracle.coalesced)
-        << "nothing coalesced: every message rode alone";
-    const ContentsResult parallel = RunEnvelopeContents(/*threads=*/8);
-    EXPECT_EQ(oracle.order, parallel.order)
-        << "envelope contents shifted with the thread count at salt=0x"
-        << std::hex << salt;
-    EXPECT_EQ(oracle.envelopes, parallel.envelopes);
-    EXPECT_EQ(oracle.coalesced, parallel.coalesced);
+  const std::vector<uint64_t> salts = Salts();
+  SetHashSalt(salts[0]);
+  const ContentsResult first = RunEnvelopeContents();
+  ASSERT_EQ(first.coalesced, 24u);
+  ASSERT_EQ(first.order.size(), 24u);
+  ASSERT_GT(first.envelopes, 0u);
+  ASSERT_LT(first.envelopes, first.coalesced)
+      << "nothing coalesced: every message rode alone";
+  for (size_t i = 1; i < salts.size(); ++i) {
+    SetHashSalt(salts[i]);
+    const ContentsResult got = RunEnvelopeContents();
+    EXPECT_EQ(first.order, got.order)
+        << "envelope contents shifted with the salt 0x" << std::hex
+        << salts[i];
+    EXPECT_EQ(first.envelopes, got.envelopes);
+    EXPECT_EQ(first.coalesced, got.coalesced);
   }
   SetHashSalt(old_salt);
 }
 
 // One seeded net-enabled lifetime under the PROCESS salt
-// (HERMES_HASH_SALT) and thread count (HERMES_SIM_THREADS), printing a
-// parseable outcome line. scripts/check_determinism.sh runs this binary
-// under several env salts x thread counts and requires every printed
-// NET_PROFILE line to be identical across processes.
+// (HERMES_HASH_SALT), printing a parseable outcome line.
+// scripts/check_determinism.sh runs this binary under several env salts
+// and requires every printed NET_PROFILE line to be identical across
+// processes.
 TEST(NetScriptProfile, SingleSeededRunPrintsOutcome) {
-  const RunResult out = RunNetWorkload(/*threads=*/0);
+  const RunResult out = RunNetWorkload();
   ASSERT_GT(out.commits, 50u);
   std::printf("NET_PROFILE digest=%016llx placement=%016llx trace=%016llx "
               "checksum=%016llx commits=%llu envelopes=%llu coalesced=%llu "

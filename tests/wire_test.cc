@@ -58,7 +58,7 @@ TEST(WireTest, SerializerQueuesBackToBackMessages) {
   EXPECT_EQ(first, 110u);
   EXPECT_EQ(second, 120u);
   EXPECT_EQ(wire.transmits(TrafficClass::kForeground), 2u);
-  const DelayHistogram h = wire.MergedQueueDelay(TrafficClass::kForeground);
+  const DelayHistogram h = wire.QueueDelay(TrafficClass::kForeground);
   EXPECT_EQ(h.count(), 2u);
 }
 

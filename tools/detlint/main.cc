@@ -3,18 +3,16 @@
 // Hermes' schedulers are replicated deterministic state machines: every
 // replica must reach bit-identical routing, eviction and migration
 // decisions from the same totally ordered input. A single hash-map
-// iteration-order leak, unseeded RNG, wall-clock read, or cross-lane
-// mutation silently breaks replica agreement. detlint scans the source
-// tree for the banned patterns CLAUDE.md's invariants describe — see
-// rules.cc for the twelve-rule catalog and DESIGN.md §5 "Determinism
+// iteration-order leak, unseeded RNG, wall-clock read, or thread
+// silently breaks replica agreement. detlint scans the source tree for
+// the banned patterns CLAUDE.md's invariants describe — see rules.cc for
+// the eleven-rule catalog and DESIGN.md §5 "Determinism
 // toolchain" for the full rule table.
 //
 // v2 is a small multi-file analyzer (lexer.cc, rules.cc, report.cc):
 // a real C++ token stream (raw-string aware) instead of regexes over
-// stripped text, a project include graph for transitive include
-// hygiene, and a token-level call graph for the annotation-driven
-// lane-confinement contracts (comment markers: the `detlint:` prefix
-// immediately followed by `requires(exclusive)` or `runs(exclusive)`).
+// stripped text, and a project include graph for transitive include
+// hygiene.
 //
 // A finding is suppressed by an allow-marker comment on the same line or
 // the line directly above — the `detlint:` prefix immediately followed
@@ -40,9 +38,8 @@
 // usage errors.
 //
 // The analyzer is a tripwire, not a compiler: the runtime complement —
-// hash-salt perturbation, the decision/placement/trace digests, and the
-// sequential-vs-parallel oracle — catches what a token-level pass cannot
-// prove absent.
+// hash-salt perturbation and the decision/placement/trace digests —
+// catches what a token-level pass cannot prove absent.
 
 #include <algorithm>
 #include <cctype>
@@ -79,8 +76,7 @@ bool IsSourceExt(const std::string& ext) {
 
 /// The error count PrintTextReport would report, without printing.
 int CountErrors(const detlint::AnalysisResult& result) {
-  int errors = static_cast<int>(result.findings.size() +
-                                result.annotation_errors.size());
+  int errors = static_cast<int>(result.findings.size());
   for (const detlint::Suppression& s : result.suppressions) {
     if (detlint::KnownRules().count(s.rule) == 0 || s.justification.empty() ||
         !s.used) {
@@ -175,9 +171,6 @@ std::vector<std::string> DiagnosticKeys(const detlint::AnalysisResult& r) {
   std::vector<std::string> keys;
   for (const detlint::Finding& f : r.findings) {
     keys.push_back(f.file + ":" + std::to_string(f.line) + ":" + f.rule);
-  }
-  for (const detlint::Finding& a : r.annotation_errors) {
-    keys.push_back(a.file + ":" + std::to_string(a.line) + ":annotation");
   }
   for (const detlint::Suppression& s : r.suppressions) {
     std::string kind;

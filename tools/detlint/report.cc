@@ -67,11 +67,6 @@ int PrintTextReport(const AnalysisResult& result, size_t file_count,
                  f.rule.c_str(), f.excerpt.c_str());
     ++errors;
   }
-  for (const Finding& a : result.annotation_errors) {
-    std::fprintf(out, "%s:%d: error: %s\n", a.file.c_str(), a.line,
-                 a.excerpt.c_str());
-    ++errors;
-  }
 
   int suppression_count = 0;
   for (const Suppression& s : result.suppressions) {
@@ -127,9 +122,6 @@ std::string SarifReport(const AnalysisResult& result) {
   bool first = true;
   std::vector<std::pair<std::string, std::string>> metas(
       RuleDescriptions().begin(), RuleDescriptions().end());
-  metas.emplace_back("annotation",
-                     "malformed detlint contract annotation "
-                     "(detlint:requires/runs)");
   metas.emplace_back("suppression",
                      "detlint:allow suppression bookkeeping "
                      "(unknown rule, missing justification, stale)");
@@ -150,10 +142,6 @@ std::string SarifReport(const AnalysisResult& result) {
   for (const Finding& f : result.findings) {
     AppendResult(&out, &first, f.rule, "error", "[" + f.rule + "] " + f.excerpt,
                  f.file, f.line);
-  }
-  for (const Finding& a : result.annotation_errors) {
-    AppendResult(&out, &first, "annotation", "error", a.excerpt, a.file,
-                 a.line);
   }
   for (const Suppression& s : result.suppressions) {
     if (KnownRules().count(s.rule) == 0) {

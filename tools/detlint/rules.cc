@@ -22,10 +22,6 @@ bool InTree(const std::string& path, const std::string& tree) {
   return PathContains(path, "/" + tree + "/");
 }
 
-bool SimExempt(const std::string& path) {
-  return PathContains(path, "src/sim/");
-}
-
 // ---------------------------------------------------------------------------
 // Rule catalog.
 // ---------------------------------------------------------------------------
@@ -46,23 +42,19 @@ const std::map<std::string, std::string>& Catalog() {
       {"unseeded-rng",
        "default-constructed random engine (implementation-defined seed)"},
       {"wall-clock",
-       "wall-clock read outside src/sim/: simulated time is the only "
-       "clock"},
+       "wall-clock read: simulated time is the only clock"},
       {"pointer-order",
        "ordered container or comparator keyed on pointer values: "
        "allocation-address order is nondeterministic"},
       {"raw-thread",
-       "raw threading primitive outside src/sim/: all real concurrency "
-       "lives behind the epoch-synchronized simulator"},
+       "raw threading primitive: the simulator is single-threaded and "
+       "nothing in the tree runs concurrently"},
       {"obs-decision",
        "tracer/telemetry state feeding a decision in src/core/ or "
        "src/routing/: observability is write-only by contract"},
-      {"lane-confinement",
-       "call to a detlint:requires(exclusive) function from code that is "
-       "neither exclusive-annotated nor inside Simulator::Defer()"},
       {"include-hygiene",
        "include (direct or transitive through project headers) of a "
-       "thread or clock header outside src/sim/"},
+       "thread or clock header"},
       {"env-read",
        "std::getenv outside the sanctioned accessor (src/common/env.cc): "
        "environment reads must flow through hermes::EnvRead"},
@@ -170,7 +162,7 @@ bool IsHashContainerType(const std::string& s) {
 }
 
 // ---------------------------------------------------------------------------
-// Comment markers: suppressions and contract annotations.
+// Comment markers: suppressions.
 // ---------------------------------------------------------------------------
 
 std::string TrimmedTail(const std::string& comment, size_t pos) {
@@ -191,11 +183,7 @@ std::string TrimmedTail(const std::string& comment, size_t pos) {
   return tail;
 }
 
-bool IsControlKeyword(const std::string& s);
-
-void ParseMarkers(const LexedFile& f, std::vector<Suppression>* suppressions,
-                  std::vector<Annotation>* annotations,
-                  std::vector<Finding>* annotation_errors) {
+void ParseMarkers(const LexedFile& f, std::vector<Suppression>* suppressions) {
   for (const Comment& c : f.comments) {
     // Suppressions: "allow(<rule>) <justification>" after the prefix.
     for (size_t pos = c.text.find("detlint:allow(");
@@ -210,45 +198,6 @@ void ParseMarkers(const LexedFile& f, std::vector<Suppression>* suppressions,
       s.rule = c.text.substr(name_begin, name_end - name_begin);
       s.justification = TrimmedTail(c.text, name_end + 1);
       suppressions->push_back(std::move(s));
-    }
-    // Annotations: "requires(exclusive)" / "runs(exclusive)" after the
-    // prefix.
-    for (const char* kind : {"requires", "runs"}) {
-      const std::string marker = std::string("detlint:") + kind + "(";
-      for (size_t pos = c.text.find(marker); pos != std::string::npos;
-           pos = c.text.find(marker, pos + 1)) {
-        const size_t mode_begin = pos + marker.size();
-        const size_t mode_end = c.text.find(')', mode_begin);
-        if (mode_end == std::string::npos) continue;
-        Annotation a;
-        a.file = f.path;
-        a.line = LineOf(f, c.offset + pos);
-        a.kind = kind;
-        a.mode = c.text.substr(mode_begin, mode_end - mode_begin);
-        // Bind to the next declared/defined function: the first
-        // identifier after the comment that is directly followed by '('.
-        for (size_t i = 0; i < f.tokens.size(); ++i) {
-          if (f.tokens[i].offset < c.end) continue;
-          if (IsIdent(f.tokens, i) && Is(f.tokens, i + 1, "(") &&
-              !IsControlKeyword(f.tokens[i].text)) {
-            a.function = f.tokens[i].text;
-            break;
-          }
-        }
-        if (a.mode != "exclusive") {
-          annotation_errors->push_back(Finding{
-              f.path, a.line, "annotation",
-              "annotation detlint:" + a.kind + "(" + a.mode +
-                  ") names unknown mode '" + a.mode + "' (only 'exclusive')"});
-        } else if (a.function.empty()) {
-          annotation_errors->push_back(Finding{
-              f.path, a.line, "annotation",
-              "annotation detlint:" + a.kind +
-                  "(exclusive) binds to no function declaration"});
-        } else {
-          annotations->push_back(std::move(a));
-        }
-      }
     }
   }
 }
@@ -360,120 +309,6 @@ class IncludeGraph {
 };
 
 // ---------------------------------------------------------------------------
-// Function-definition extraction (lane-confinement call graph).
-// ---------------------------------------------------------------------------
-
-struct FunctionDef {
-  std::string name;    // unqualified
-  size_t name_tok = 0;
-  size_t body_begin = 0;  // index of the '{'
-  size_t body_end = 0;    // index of the matching '}'
-};
-
-bool IsControlKeyword(const std::string& s) {
-  return s == "if" || s == "for" || s == "while" || s == "switch" ||
-         s == "catch" || s == "return" || s == "sizeof" || s == "alignof" ||
-         s == "decltype" || s == "assert";
-}
-
-bool IsFunctionQualifier(const std::string& s) {
-  return s == "const" || s == "noexcept" || s == "override" || s == "final" ||
-         s == "mutable" || s == "volatile" || s == "try";
-}
-
-size_t MatchBrace(const std::vector<Token>& t, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < t.size(); ++i) {
-    if (t[i].text == "{") ++depth;
-    if (t[i].text == "}" && --depth == 0) return i;
-  }
-  return std::string::npos;
-}
-
-/// After a parameter list, skips cv/ref/noexcept/trailing-return
-/// decorations and a constructor init list; returns the index of the
-/// body's '{' or npos when the construct is not a definition.
-size_t FindBodyBrace(const std::vector<Token>& t, size_t after_params) {
-  size_t k = after_params;
-  while (k < t.size()) {
-    const std::string& x = t[k].text;
-    if (x == "{") return k;
-    if (x == ";" || x == "=" || x == ",") return std::string::npos;
-    if (IsFunctionQualifier(x)) {
-      ++k;
-      // noexcept(...) — skip its operand.
-      if (Is(t, k, "(")) {
-        const size_t close = MatchParen(t, k);
-        if (close == std::string::npos) return std::string::npos;
-        k = close + 1;
-      }
-      continue;
-    }
-    if (x == "->") {  // trailing return type
-      ++k;
-      while (k < t.size() && t[k].text != "{" && t[k].text != ";") ++k;
-      continue;
-    }
-    if (x == ":") {  // constructor init list
-      ++k;
-      while (k < t.size()) {
-        // Init item: qualified/templated name, then (...) or {...}.
-        while (IsIdent(t, k) || Is(t, k, "::")) ++k;
-        if (Is(t, k, "<")) {
-          const size_t close = MatchAngle(t, k);
-          if (close == std::string::npos) return std::string::npos;
-          k = close + 1;
-        }
-        size_t close = std::string::npos;
-        if (Is(t, k, "(")) close = MatchParen(t, k);
-        else if (Is(t, k, "{")) close = MatchBrace(t, k);
-        if (close == std::string::npos) return std::string::npos;
-        k = close + 1;
-        if (Is(t, k, ",")) {
-          ++k;
-          continue;
-        }
-        return Is(t, k, "{") ? k : std::string::npos;
-      }
-      return std::string::npos;
-    }
-    return std::string::npos;
-  }
-  return std::string::npos;
-}
-
-std::vector<FunctionDef> ExtractFunctions(const LexedFile& f) {
-  std::vector<FunctionDef> defs;
-  const auto& t = f.tokens;
-  for (size_t i = 0; i + 1 < t.size(); ++i) {
-    if (!IsIdent(t, i) || IsControlKeyword(t[i].text)) continue;
-    if (!Is(t, i + 1, "(")) continue;
-    const size_t close = MatchParen(t, i + 1);
-    if (close == std::string::npos) continue;
-    const size_t body = FindBodyBrace(t, close + 1);
-    if (body == std::string::npos) continue;
-    const size_t body_end = MatchBrace(t, body);
-    if (body_end == std::string::npos) continue;
-    defs.push_back(FunctionDef{t[i].text, i, body, body_end});
-  }
-  return defs;
-}
-
-/// Innermost function definition whose body contains token `idx`.
-const FunctionDef* EnclosingFunction(const std::vector<FunctionDef>& defs,
-                                     size_t idx) {
-  const FunctionDef* best = nullptr;
-  for (const FunctionDef& d : defs) {
-    if (idx <= d.body_begin || idx >= d.body_end) continue;
-    if (best == nullptr ||
-        d.body_end - d.body_begin < best->body_end - best->body_begin) {
-      best = &d;
-    }
-  }
-  return best;
-}
-
-// ---------------------------------------------------------------------------
 // The linter.
 // ---------------------------------------------------------------------------
 
@@ -501,7 +336,6 @@ class Linter {
   void ScanTokens(const LexedFile& f, const RuleProfile& profile,
                   const std::set<std::string>& hash_names) {
     const auto& t = f.tokens;
-    const bool sim_exempt = SimExempt(f.virtual_path);
     const bool obs_scope = PathContains(f.virtual_path, "src/core/") ||
                            PathContains(f.virtual_path, "src/routing/");
     const bool hash_header = PathContains(f.virtual_path, "common/hash.h");
@@ -528,12 +362,12 @@ class Linter {
         AddFinding(f, t[i].offset, "unseeded-rng");
       }
 
-      if (profile.count("raw-thread") > 0 && !sim_exempt &&
+      if (profile.count("raw-thread") > 0 &&
           IsThreadPrimitive(x) && PrecededByStd(t, i)) {
         AddFinding(f, t[i - 2].offset, "raw-thread");
       }
 
-      if (profile.count("wall-clock") > 0 && !sim_exempt) {
+      if (profile.count("wall-clock") > 0) {
         if (x == "system_clock" || x == "steady_clock" ||
             x == "high_resolution_clock" || x == "gettimeofday" ||
             x == "clock_gettime" || x == "localtime" || x == "gmtime") {
@@ -582,7 +416,7 @@ class Linter {
     // Include-directive components of raw-thread / raw-unordered (v1
     // matched the directive text; directives are not tokens here).
     for (const IncludeDirective& inc : f.includes) {
-      if (profile.count("raw-thread") > 0 && !sim_exempt && inc.system &&
+      if (profile.count("raw-thread") > 0 && inc.system &&
           ThreadHeaders().count(inc.target) > 0) {
         AddFinding(f, inc.offset, "raw-thread");
       }
@@ -696,7 +530,6 @@ class Linter {
   void ScanIncludeHygiene(const LexedFile& f, const RuleProfile& profile,
                           IncludeGraph& graph) {
     if (profile.count("include-hygiene") == 0) return;
-    if (SimExempt(f.virtual_path)) return;
     for (const IncludeDirective& inc : f.includes) {
       if (inc.system) {
         // Direct thread-header includes are raw-thread's job; direct
@@ -710,10 +543,6 @@ class Linter {
       }
       const LexedFile* dep = graph.Resolve(inc.target);
       if (dep == nullptr) continue;
-      if (SimExempt(dep->virtual_path)) {
-        // Including a sim header is fine only when that header is itself
-        // clean (the sim exemption covers sim internals, not leaks).
-      }
       const auto& taints = graph.Closure(dep);
       if (taints.empty()) continue;
       const auto& [header, taint] = *taints.begin();
@@ -723,63 +552,6 @@ class Linter {
       AddFinding(f, inc.offset, "include-hygiene",
                  LineText(f, inc.line) + "  (reaches <" + header + "> via " +
                      via + ")");
-    }
-  }
-
-  // --- lane-confinement ---------------------------------------------------
-
-  void ScanLaneConfinement(const LexedFile& f, const RuleProfile& profile,
-                           const std::set<std::string>& requires_set,
-                           const std::set<std::string>& exclusive_set) {
-    if (profile.count("lane-confinement") == 0) return;
-    if (requires_set.empty()) return;
-    if (!PathContains(f.virtual_path, "src/engine/") &&
-        !PathContains(f.virtual_path, "src/sim/") &&
-        !PathContains(f.virtual_path, "src/replication/") &&
-        !PathContains(f.virtual_path, "src/net/")) {
-      return;
-    }
-    const auto& t = f.tokens;
-    const std::vector<FunctionDef> defs = ExtractFunctions(f);
-    std::set<size_t> def_name_tokens;
-    for (const FunctionDef& d : defs) def_name_tokens.insert(d.name_tok);
-
-    // Defer(...) argument ranges: calls inside run at the epoch barrier.
-    std::vector<std::pair<size_t, size_t>> defer_ranges;
-    for (size_t i = 0; i + 1 < t.size(); ++i) {
-      if (IsIdent(t, i) && t[i].text == "Defer" && Is(t, i + 1, "(")) {
-        const size_t close = MatchParen(t, i + 1);
-        if (close != std::string::npos) defer_ranges.emplace_back(i + 1, close);
-      }
-    }
-
-    for (size_t i = 0; i + 1 < t.size(); ++i) {
-      if (!IsIdent(t, i) || requires_set.count(t[i].text) == 0) continue;
-      if (!Is(t, i + 1, "(")) continue;
-      if (def_name_tokens.count(i) > 0) continue;  // the definition itself
-      // Declarations (a type token directly precedes the name) are not
-      // calls: `void OnMasterDone(TxnId id);`.
-      if (i > 0 && (t[i - 1].kind == TokKind::kIdent ||
-                    t[i - 1].text == "*" || t[i - 1].text == "&" ||
-                    t[i - 1].text == ">")) {
-        continue;
-      }
-      bool ok = false;
-      const FunctionDef* enclosing = EnclosingFunction(defs, i);
-      if (enclosing != nullptr && exclusive_set.count(enclosing->name) > 0) {
-        ok = true;
-      }
-      for (const auto& [open, close] : defer_ranges) {
-        if (i > open && i < close) {
-          ok = true;
-          break;
-        }
-      }
-      if (!ok) {
-        AddFinding(f, t[i].offset, "lane-confinement",
-                   LineText(f, LineOf(f, t[i].offset)) + "  (" + t[i].text +
-                       " requires exclusive context)");
-      }
     }
   }
 
@@ -820,18 +592,7 @@ RuleProfile ProfileFor(const std::string& virtual_path) {
 
 AnalysisResult Analyze(std::vector<LexedFile>& files) {
   AnalysisResult result;
-  std::vector<Annotation> annotations;
-  for (const LexedFile& f : files) {
-    ParseMarkers(f, &result.suppressions, &annotations,
-                 &result.annotation_errors);
-  }
-
-  std::set<std::string> requires_set;
-  std::set<std::string> exclusive_set;  // requires ∪ runs
-  for (const Annotation& a : annotations) {
-    if (a.kind == "requires") requires_set.insert(a.function);
-    exclusive_set.insert(a.function);
-  }
+  for (const LexedFile& f : files) ParseMarkers(f, &result.suppressions);
 
   std::map<std::string, std::set<std::string>> hash_names_by_path;
   for (const LexedFile& f : files) {
@@ -852,12 +613,10 @@ AnalysisResult Analyze(std::vector<LexedFile>& files) {
     }
     linter.ScanTokens(f, profile, hash_names);
     linter.ScanIncludeHygiene(f, profile, graph);
-    linter.ScanLaneConfinement(f, profile, requires_set, exclusive_set);
   }
 
   std::sort(linter.findings_.begin(), linter.findings_.end());
   result.findings = std::move(linter.findings_);
-  std::sort(result.annotation_errors.begin(), result.annotation_errors.end());
   return result;
 }
 
